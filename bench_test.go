@@ -174,22 +174,6 @@ func BenchmarkModelCheckC4(b *testing.B) {
 	}
 }
 
-// BenchmarkModelCheckC4StringFP is BenchmarkModelCheckC4 with the exact
-// string-fingerprint state tables the checker used before compact hashing —
-// the allocs/op gap between the two is the win of the 128-bit tables.
-func BenchmarkModelCheckC4StringFP(b *testing.B) {
-	g := graph.MustCycle(4)
-	xs := ids.MustGenerate(ids.Increasing, 4, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e, _ := sim.NewEngine(g, core.NewFiveNodes(xs))
-		rep := model.Explore(e, model.Options{SingletonsOnly: true, StringFingerprints: true}, nil)
-		if !rep.Ok() {
-			b.Fatal("verification failed")
-		}
-	}
-}
-
 // BenchmarkModelCheckC4Workers measures the parallel first-level frontier
 // on the same instance (identical States/Terminal counts as the serial
 // exploration; workers duplicate shared substates by design).

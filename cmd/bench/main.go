@@ -23,6 +23,7 @@ import (
 
 	"asynccycle/internal/atomicio"
 	"asynccycle/internal/bigsim"
+	"asynccycle/internal/check"
 	"asynccycle/internal/core"
 	"asynccycle/internal/expt"
 	"asynccycle/internal/graph"
@@ -147,26 +148,19 @@ func run(out string, quick bool) error {
 		})
 	})
 
-	// The tentpole pair #2: the model checker, exact string fingerprints vs
-	// compact 128-bit hashes (identical state counts, fewer allocations).
-	for _, c := range []struct {
-		name string
-		str  bool
-	}{{"modelcheck_c4_string", true}, {"modelcheck_c4_hash", false}} {
-		c := c
-		add(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			cg := graph.MustCycle(4)
-			cxs := ids.MustGenerate(ids.Increasing, 4, 0)
-			for i := 0; i < b.N; i++ {
-				e, _ := sim.NewEngine(cg, core.NewFiveNodes(cxs))
-				r := model.Explore(e, model.Options{SingletonsOnly: true, StringFingerprints: c.str}, nil)
-				if !r.Ok() {
-					b.Fatal("verification failed")
-				}
+	// The model checker on C4 with its compact 128-bit state tables.
+	add("modelcheck_c4_hash", func(b *testing.B) {
+		b.ReportAllocs()
+		cg := graph.MustCycle(4)
+		cxs := ids.MustGenerate(ids.Increasing, 4, 0)
+		for i := 0; i < b.N; i++ {
+			e, _ := sim.NewEngine(cg, core.NewFiveNodes(cxs))
+			r := model.Explore(e, model.Options{SingletonsOnly: true}, nil)
+			if !r.Ok() {
+				b.Fatal("verification failed")
 			}
-		})
-	}
+		}
+	})
 
 	// The symmetry-reduction pair: exhaustive identifier-assignment sweep
 	// of Algorithm 2, unreduced vs quotiented by the dihedral group with
@@ -203,11 +197,10 @@ func run(out string, quick bool) error {
 	}
 
 	// The contract-overhead pair: the same exhaustive C5 sweep with the
-	// per-state invariant calling the legacy Validity closure directly vs
-	// routed through the descriptor's Contract.Safety surface (the bare
-	// adapter Register synthesizes around the same properties). The pair
-	// pins that the pluggable contract layer is free: one extra interface
-	// call per state, identical verdicts, within noise.
+	// per-state invariant calling five's property checks directly vs
+	// routed through the descriptor's Contract.Safety surface. The pair
+	// pins that the pluggable contract layer is free: one interface call
+	// and a property loop per state, identical verdicts, within noise.
 	{
 		d, err := protocol.Lookup("five")
 		if err != nil {
@@ -222,7 +215,13 @@ func run(out string, quick bool) error {
 			name string
 			inv  func(e *sim.Engine[core.FiveVal]) error
 		}{
-			{"check_contract_overhead_legacy", func(e *sim.Engine[core.FiveVal]) error { return d.Validity(cog, e.Result()) }},
+			{"check_contract_overhead_legacy", func(e *sim.Engine[core.FiveVal]) error {
+				r := e.Result()
+				if err := check.ProperColoring(cog, r); err != nil {
+					return err
+				}
+				return check.PaletteRange(r, 5)
+			}},
 			{"check_contract_overhead_contract", func(e *sim.Engine[core.FiveVal]) error { return d.Contract.Safety(cog, e.Result()) }},
 		} {
 			c := c

@@ -124,21 +124,9 @@ func run(args []string, w io.Writer) error {
 	}
 
 	verdict := func(res sim.Result) {
-		if d.Contract != nil && d.Contract.Labeled() {
-			// Contract-first protocols: one verdict line per contract
-			// property, labeled with its provenance.
-			for _, p := range d.Contract.Properties() {
-				report(w, fmt.Sprintf("contract=%s property=%s", d.Contract.ContractName(), p.Name), p.Check(g, res))
-			}
-			return
+		for _, v := range d.Verdicts(g, res) {
+			report(w, v.Name, v.Err)
 		}
-		if d.Checks != nil {
-			for _, c := range d.Checks(g) {
-				report(w, c.Name, c.Check(res))
-			}
-			return
-		}
-		report(w, "validity", d.Validity(g, res))
 	}
 
 	if *big {

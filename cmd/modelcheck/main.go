@@ -278,8 +278,8 @@ func runContext(ctx context.Context, args []string, w, ew io.Writer) error {
 }
 
 // contractField renders the " contract=NAME" header fragment for
-// protocols with an explicit labeled contract; legacy bare adapters get
-// "" so pre-contract report lines stay byte-identical.
+// protocols with a labeled contract; bare contracts get "" so
+// pre-contract report lines stay byte-identical.
 func contractField(d *protocol.Descriptor) string {
 	if label := d.ContractLabel(); label != "" {
 		return " contract=" + label

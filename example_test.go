@@ -1,6 +1,7 @@
 package asynccycle_test
 
 import (
+	"errors"
 	"fmt"
 
 	"asynccycle"
@@ -117,4 +118,100 @@ func ExampleRecord() {
 	fmt.Println("replay identical:", same)
 	// Output:
 	// replay identical: true
+}
+
+// The paper's core quantitative claim, head to head: on the worst-case
+// input (identifiers increasing around the cycle, one monotone chain of
+// length n−1) Algorithm 2 needs Θ(n) rounds per process while
+// Algorithm 3's Cole–Vishkin identifier reduction needs O(log* n).
+func ExampleFastColorCycle_adversary() {
+	for _, n := range []int{16, 64, 256, 1024} {
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = i + 1
+		}
+		res2, err := asynccycle.FiveColorCycle(ids, nil)
+		if err != nil {
+			fmt.Println(err)
+			return
+		}
+		res3, err := asynccycle.FastColorCycle(ids, nil)
+		if err != nil {
+			fmt.Println(err)
+			return
+		}
+		for _, res := range []asynccycle.Result{res2, res3} {
+			if err := asynccycle.VerifyCycleColoring(n, res); err != nil {
+				fmt.Println(err)
+				return
+			}
+		}
+		fmt.Printf("n=%-5d alg2 rounds=%-5d alg3 rounds=%d\n", n, res2.MaxActivations(), res3.MaxActivations())
+	}
+	// Output:
+	// n=16    alg2 rounds=11    alg3 rounds=8
+	// n=64    alg2 rounds=43    alg3 rounds=8
+	// n=256   alg2 rounds=171   alg3 rounds=8
+	// n=1024  alg2 rounds=683   alg3 rounds=8
+}
+
+// Finding F1: under the paper-literal simultaneous semantics ("all write,
+// then all read") Algorithm 2 livelocks on C5. The two-phase lockstep
+// schedule wakes the odd-index processes first; they terminate with color
+// 0 frozen in their registers, and then the adjacent pair {0, 4}, always
+// activated together, chase each other's colors forever. Under interleaved
+// semantics the same schedule terminates, as Theorem 3.11 states.
+func ExampleFiveColorCycle_lockstep() {
+	ids := []int{1, 2, 3, 4, 5}
+	oddFirst := func() asynccycle.Scheduler {
+		return asynccycle.Sleep([]int{0, 2, 4}, 2, asynccycle.Alternating())
+	}
+	_, err := asynccycle.FiveColorCycle(ids, &asynccycle.Config{
+		Scheduler: oddFirst(),
+		Mode:      asynccycle.ModeSimultaneous,
+		MaxSteps:  10_000,
+	})
+	fmt.Println("simultaneous livelocks:", errors.Is(err, asynccycle.ErrStepLimit))
+	res, err := asynccycle.FiveColorCycle(ids, &asynccycle.Config{
+		Scheduler: oddFirst(),
+		Mode:      asynccycle.ModeInterleaved,
+		MaxSteps:  10_000,
+	})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Printf("interleaved: %d steps, colors %v\n", res.Steps, res.Outputs)
+	// Output:
+	// simultaneous livelocks: true
+	// interleaved: 5 steps, colors [1 0 1 0 2]
+}
+
+// The same algorithm on real goroutines: one per process, single-writer
+// registers, and asynchrony from the Go scheduler plus injected jitter,
+// with a third of the processes crashing mid-protocol. The interleaving
+// differs run to run; the guarantees do not.
+func ExampleFastColorCycleConcurrent() {
+	const n = 60
+	crashes := make(map[int]int)
+	for i := 0; i < n; i += 3 {
+		crashes[i] = i % 5 // 0 = never wakes
+	}
+	res, err := asynccycle.FastColorCycleConcurrent(asynccycle.GenerateIDs(n, 1), &asynccycle.ConcurrentConfig{
+		CrashAfter: crashes,
+		Jitter:     20_000, // up to 20µs between rounds
+		Seed:       7,
+		Yield:      true,
+	})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Println("survivors terminated:", asynccycle.VerifySurvivorsTerminated(res) == nil)
+	fmt.Println("proper coloring:", asynccycle.VerifyCycleColoring(n, res) == nil)
+	fmt.Println("palette {0..4}:", asynccycle.VerifyPalette(res, 5) == nil)
+	// Output:
+	// survivors terminated: true
+	// proper coloring: true
+	// palette {0..4}: true
 }

@@ -21,6 +21,7 @@ import (
 
 	"asynccycle"
 	"asynccycle/internal/check"
+	"asynccycle/internal/contract"
 	"asynccycle/internal/fuzzsched"
 	"asynccycle/internal/graph"
 	"asynccycle/internal/model"
@@ -111,11 +112,15 @@ func init() {
 				return graph.Cycle(n)
 			},
 			ValidateIDs: validateParityIDs,
-			Validity: func(g graph.Graph, r sim.Result) error {
-				if err := check.ProperColoring(g, r); err != nil {
-					return err
-				}
-				return check.PaletteRange(r, 2)
+			// The contract is the protocol's one property surface: the
+			// model checker's invariant, the fuzzer's safety oracle, and
+			// the verdict lines of every run.
+			Contract: &contract.Terminating{
+				Name: "coloring",
+				Props: []contract.Property{
+					{Name: "proper", Check: check.ProperColoring},
+					{Name: "palette", Check: func(_ graph.Graph, r sim.Result) error { return check.PaletteRange(r, 2) }},
+				},
 			},
 			// FixN and FuzzIDs teach the fuzzer the promise: even sizes,
 			// alternating parities, otherwise random identifiers.

@@ -89,7 +89,7 @@ type Property struct {
 // Contract is the pluggable correctness specification a protocol
 // registers. Safety evaluates the conjunction of the properties;
 // implementations label violations "contract=<name> property=<prop>: …"
-// unless they are legacy adapters (Labeled reports which).
+// unless they are bare (Labeled reports which).
 type Contract interface {
 	// ContractName identifies the contract in verdict labels and report
 	// headers ("coloring", "approx-agreement", "ss-coloring").
@@ -103,9 +103,9 @@ type Contract interface {
 	// Safety evaluates the properties against one outcome and returns the
 	// first violation, or nil.
 	Safety(g graph.Graph, r sim.Result) error
-	// Labeled reports whether violations carry contract/property
-	// provenance labels. Legacy adapters synthesized from a bare Validity
-	// closure return false so pre-contract output stays byte-identical.
+	// Labeled reports whether violations and verdict lines carry
+	// contract/property provenance labels. Bare contracts return false
+	// so pre-contract output stays byte-identical.
 	Labeled() bool
 }
 
@@ -126,9 +126,9 @@ type Terminating struct {
 	Props []Property
 	// Kind is the liveness guarantee; the zero value is WaitFreeBounded.
 	Kind LivenessKind
-	// Bare, when set, makes Safety return property errors unlabeled —
-	// the legacy-adapter mode protocol.Register uses when it wraps an
-	// existing Validity closure, keeping historical output byte-exact.
+	// Bare, when set, makes Safety return property errors unlabeled and
+	// verdict lines print the property name alone — the protocols that
+	// predate contracts set it to keep their recorded output byte-exact.
 	Bare bool
 }
 

@@ -50,7 +50,7 @@ func TestTerminatingBareKeepsLegacyText(t *testing.T) {
 		t.Fatalf("bare violation = %v, want the unlabeled legacy text", err)
 	}
 	if c.Labeled() {
-		t.Error("bare adapter must not report Labeled")
+		t.Error("bare contract must not report Labeled")
 	}
 	if c.Safety(g, sim.Result{Done: []bool{true}}) == nil {
 		t.Error("bare mode must still report the violation")

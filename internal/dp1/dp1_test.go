@@ -124,9 +124,9 @@ func TestRunOnDeclaredTopologies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", spec, err)
 		}
-		for _, c := range d.Checks(g) {
-			if err := c.Check(res); err != nil {
-				t.Errorf("%q: %s: %v", spec, c.Name, err)
+		for _, v := range d.Verdicts(g, res) {
+			if v.Err != nil {
+				t.Errorf("%q: %s: %v", spec, v.Name, v.Err)
 			}
 		}
 	}

@@ -107,9 +107,9 @@ func E22DeltaPlusOne(o Options) *Table {
 				r.maxColor = out
 			}
 		}
-		for _, chk := range d.Checks(g) {
-			if err := chk.Check(res); err != nil {
-				r.failed = append(r.failed, fmt.Sprintf("%s: %v", chk.Name, err))
+		for _, v := range d.Verdicts(g, res) {
+			if v.Err != nil {
+				r.failed = append(r.failed, fmt.Sprintf("%s: %v", v.Name, v.Err))
 			}
 		}
 		return r

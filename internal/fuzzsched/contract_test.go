@@ -19,7 +19,7 @@ import (
 func TestCampaignContractHeader(t *testing.T) {
 	for _, tc := range []struct {
 		alg  string
-		want string // "" = legacy bare adapter, header omits the field
+		want string // "" = bare contract, header omits the field
 	}{
 		{alg: "ssuni", want: "ss-coloring"},
 		{alg: "agree-p3", want: "approx-agreement"},

@@ -28,11 +28,11 @@
 // The algorithm under test is any protocol registered in
 // internal/protocol that exposes an instance surface; the oracles derive
 // from the descriptor's correctness contract (internal/contract): safety
-// is Contract.Safety (for pre-contract protocols the bare adapter keeps
-// the historical Validity text byte-for-byte) and the liveness bound is
-// Bound. Stabilizing contracts (liveness closure+convergence) replace the
-// end-state safety check — transiently illegal configurations are the
-// whole point of self-stabilization — with a convergence oracle: after
+// is Contract.Safety (bare contracts keep the pre-contract violation text
+// byte-for-byte) and the liveness bound is Bound. Stabilizing contracts
+// (liveness closure+convergence) replace the end-state safety check —
+// transiently illegal configurations are the whole point of
+// self-stabilization — with a convergence oracle: after
 // the adversarial prefix, a fair crash-free round-robin suffix of the
 // contract's ConvergenceBound activations must reach a configuration
 // that satisfies Safety and is a fixpoint across one further full pass
@@ -150,7 +150,7 @@ type Report struct {
 	Alg      string
 	N        int
 	Topology string // empty = the protocol's native topology
-	Contract string // contract label; empty = legacy bare adapter
+	Contract string // contract label; empty = bare contract
 	Mode     string
 	Seed     int64
 	Campaign int
@@ -179,7 +179,7 @@ func (r Report) String() string {
 		topo = fmt.Sprintf(" topology=%s", r.Topology)
 	}
 	if r.Contract != "" {
-		// Same only-when-set rule: bare legacy adapters carry no label, so
+		// Same only-when-set rule: bare contracts carry no label, so
 		// pre-contract reports keep their exact historical header.
 		topo += fmt.Sprintf(" contract=%s", r.Contract)
 	}
@@ -370,9 +370,8 @@ func runCell(cfg Config, cell int, d *protocol.Descriptor) cellResult {
 	} else {
 		xs = rng.Perm(4 * n)[:n]
 	}
-	// The safety oracle is the contract's Safety: for pre-contract
-	// protocols the bare adapter wraps the legacy Validity closure, so the
-	// verdict and its text are byte-identical to the historical oracle.
+	// The safety oracle is the contract's Safety; a bare contract's
+	// violation text is byte-identical to the pre-contract oracle's.
 	safety := func(r sim.Result) error { return d.Contract.Safety(g, r) }
 	stabilizing := d.Contract.Liveness() == contract.ClosureConvergence
 	bound := 0

@@ -1,10 +1,13 @@
 package fuzzsched
 
 // Seeded campaigns over the protocols the registry made fuzzable: the MIS
-// candidates, renaming, and the DECOUPLED three-coloring. Counts are exact
-// deterministic pins (the report is a function of the seed alone), so any
-// drift in descriptor wiring, RNG consumption order, or oracle derivation
-// fails here before it reaches CI.
+// candidates, renaming, and the DECOUPLED three-coloring. Violations and
+// the replay, clone-step and secondary-mode divergence legs are functions
+// of the seed alone and pinned exactly, so any drift in descriptor wiring,
+// RNG consumption order, or oracle derivation fails here before it
+// reaches CI. The conc leg runs real goroutines whose interleaving comes
+// from the Go scheduler; for an unsafe protocol its divergence count
+// varies run to run and is only bounded.
 
 import (
 	"context"
@@ -41,11 +44,27 @@ func TestCampaignMISGreedy(t *testing.T) {
 
 // TestCampaignMISImpatient: unsafe by design — the campaign must find the
 // adjacent-membership violations, shrink them, and report the divergences
-// its own unsafety induces on the cross-checking legs. Exact counts pinned.
+// its own unsafety induces on the cross-checking legs. Seed-determined
+// counts pinned exactly; the conc leg diverges at most once per conc run.
 func TestCampaignMISImpatient(t *testing.T) {
 	rep := runPinnedCampaign(t, "mis-impatient")
-	if len(rep.Violations) != 37 || len(rep.Divergences) != 31 {
-		t.Errorf("mis-impatient: violations=%d divergences=%d, want 37/31 (seed-1 pin)", len(rep.Violations), len(rep.Divergences))
+	if len(rep.Violations) != 37 {
+		t.Errorf("mis-impatient: violations=%d, want 37 (seed-1 pin)", len(rep.Violations))
+	}
+	legs := map[string]int{}
+	for _, d := range rep.Divergences {
+		legs[d.Leg]++
+	}
+	for leg, want := range map[string]int{"replay": 0, "clone-step": 0, "secondary-mode": 27} {
+		if legs[leg] != want {
+			t.Errorf("mis-impatient: %s divergences=%d, want %d (seed-1 pin)", leg, legs[leg], want)
+		}
+	}
+	if rep.ConcRuns != 4 || legs["conc"] > rep.ConcRuns {
+		t.Errorf("mis-impatient: conc divergences=%d over %d conc runs, want at most one per run of 4", legs["conc"], rep.ConcRuns)
+	}
+	if len(rep.Divergences) != legs["replay"]+legs["clone-step"]+legs["secondary-mode"]+legs["conc"] {
+		t.Errorf("mis-impatient: divergences on unknown legs: %v", legs)
 	}
 	found := false
 	for _, v := range rep.Violations {

@@ -101,8 +101,9 @@ func TestWorkingSetRespectsCrashWrappers(t *testing.T) {
 // TestCrashScheduleEquivalence checks the model checker against the
 // simulator on a crash-limited instance: every configuration a concrete
 // sim run can reach under the root's crash plan must be in the checker's
-// visited set (exact string fingerprints, so the comparison is collision-
-// free). Since a crash limit is part of the engine and survives Clone, the
+// visited set, and that set must be exactly as large as the exact
+// string-keyed reference walk's (so no two configurations were conflated).
+// Since a crash limit is part of the engine and survives Clone, the
 // checker's schedule enumeration is exactly the simulator's reachable
 // schedule space.
 func TestCrashScheduleEquivalence(t *testing.T) {
@@ -113,7 +114,7 @@ func TestCrashScheduleEquivalence(t *testing.T) {
 		return e
 	}
 
-	opt := Options{SingletonsOnly: true, StringFingerprints: true}
+	opt := Options{SingletonsOnly: true}
 	x := newExplorer[core.FiveVal](opt)
 	x.collectKeys = true
 	x.keys = make(map[stateKey]int)
@@ -122,9 +123,13 @@ func TestCrashScheduleEquivalence(t *testing.T) {
 	if x.report.Truncated {
 		t.Fatalf("exploration truncated, equivalence vacuous: %v", x.report)
 	}
-	visited := make(map[string]bool, len(x.keys))
-	for k := range x.keys {
-		visited[k.str] = true
+	if ref := RefExplore(mkRoot(), false, DefaultMaxDepth); len(x.keys) != ref.States {
+		t.Fatalf("checker visited %d configurations, exact string reference %d", len(x.keys), ref.States)
+	}
+	visited := func(e *sim.Engine[core.FiveVal]) bool {
+		h1, h2 := e.FingerprintHash128()
+		_, ok := x.keys[stateKey{h1: h1, h2: h2}]
+		return ok
 	}
 
 	// Replay pseudo-random singleton schedules (deterministic LCG) through
@@ -137,7 +142,7 @@ func TestCrashScheduleEquivalence(t *testing.T) {
 	}
 	for run := 0; run < 50; run++ {
 		e := mkRoot().Clone()
-		if !visited[e.Fingerprint()] {
+		if !visited(e) {
 			t.Fatalf("run %d: initial configuration not visited", run)
 		}
 		for step := 0; step < 64; step++ {
@@ -146,7 +151,7 @@ func TestCrashScheduleEquivalence(t *testing.T) {
 				break
 			}
 			e.Step([]int{w[next(len(w))]})
-			if !visited[e.Fingerprint()] {
+			if !visited(e) {
 				t.Fatalf("run %d step %d: simulator reached a configuration the checker never visited:\n%s",
 					run, step, e.Fingerprint())
 			}

@@ -1,10 +1,10 @@
 package model_test
 
-// Differential tests of the two fingerprint schemes (compact 128-bit hash
-// vs exact strings) and the two exploration strategies (serial DFS vs the
-// parallel first-level frontier): all four combinations must agree on the
-// exhaustive facts — state counts, terminal counts, cycle existence — on
-// real algorithm instances.
+// Differential tests of the compact 128-bit hash checker against the exact
+// string-keyed reference walks (reference_test.go), and of the two
+// exploration strategies (serial DFS vs the parallel first-level
+// frontier): all must agree on the exhaustive facts — state counts,
+// terminal counts, cycle existence — on real algorithm instances.
 
 import (
 	"testing"
@@ -28,14 +28,12 @@ func fiveEngine(t testing.TB, n int) *sim.Engine[core.FiveVal] {
 
 func TestExploreHashVsStringEquivalence(t *testing.T) {
 	for _, n := range []int{3, 4, 5} {
-		opt := model.Options{SingletonsOnly: true}
-		hashRep := model.Explore(fiveEngine(t, n), opt, nil)
-		opt.StringFingerprints = true
-		strRep := model.Explore(fiveEngine(t, n), opt, nil)
+		hashRep := model.Explore(fiveEngine(t, n), model.Options{SingletonsOnly: true}, nil)
+		strRep := model.RefExplore(fiveEngine(t, n), false, model.DefaultMaxDepth)
 		if hashRep.States != strRep.States || hashRep.Terminal != strRep.Terminal ||
 			hashRep.CycleFound != strRep.CycleFound || hashRep.Truncated != strRep.Truncated ||
 			hashRep.DeepestPath != strRep.DeepestPath {
-			t.Errorf("C%d: hash %v vs string %v", n, hashRep, strRep)
+			t.Errorf("C%d: hash %v vs string reference %+v", n, hashRep, strRep)
 		}
 		if hashRep.HashCollisions != 0 {
 			t.Errorf("C%d: %d lane-A collisions on a toy instance", n, hashRep.HashCollisions)
@@ -126,9 +124,9 @@ func TestExploreWorkersFindCycle(t *testing.T) {
 func TestWorstActivationsHashVsString(t *testing.T) {
 	for _, n := range []int{3, 4} {
 		vecH, okH, repH := model.WorstActivations(fiveEngine(t, n), model.Options{SingletonsOnly: true})
-		vecS, okS, repS := model.WorstActivations(fiveEngine(t, n), model.Options{SingletonsOnly: true, StringFingerprints: true})
-		if okH != okS || repH.States != repS.States {
-			t.Fatalf("C%d: hash (ok=%t, %v) vs string (ok=%t, %v)", n, okH, repH, okS, repS)
+		vecS, statesS, okS := model.RefWorst(fiveEngine(t, n))
+		if okH != okS || repH.States != statesS {
+			t.Fatalf("C%d: hash (ok=%t, %v) vs string reference (ok=%t, states=%d)", n, okH, repH, okS, statesS)
 		}
 		for i := range vecH {
 			if vecH[i] != vecS[i] {
@@ -147,9 +145,13 @@ func TestFairlyTerminatesHashVsString(t *testing.T) {
 		}
 		return e
 	}
-	descH, repH := model.FairlyTerminates(mk(), model.Options{SingletonsOnly: true})
-	descS, repS := model.FairlyTerminates(mk(), model.Options{SingletonsOnly: true, StringFingerprints: true})
-	if (descH == "") != (descS == "") || repH.States != repS.States {
-		t.Errorf("hash (%q, %v) vs string (%q, %v)", descH, repH, descS, repS)
+	desc, rep := model.FairlyTerminates(mk(), model.Options{SingletonsOnly: true})
+	ref := model.RefExplore(mk(), false, model.DefaultMaxDepth)
+	if rep.States != ref.States {
+		t.Errorf("state graph %v vs string reference %+v", rep, ref)
+	}
+	// The reference walk finds the livelock; every loop starves a process.
+	if !ref.CycleFound || desc != "" {
+		t.Errorf("greedy MIS on C3: reference cycle=%t, fair livelock %q; want an unfair-only livelock", ref.CycleFound, desc)
 	}
 }

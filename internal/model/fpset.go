@@ -12,16 +12,14 @@ package model
 // Exactness caveat: two distinct configurations whose full 128-bit
 // fingerprints coincide are conflated. With independent 64-bit lanes the
 // expected exploration size before such a collision is ~2^64 states, far
-// beyond any bounded instance this checker can exhaust; Options.
-// StringFingerprints restores the exact string tables for paranoia or
-// differential testing (see the equivalence tests in model_test.go).
+// beyond any bounded instance this checker can exhaust. The equivalence
+// tests compare the checker against an exact string-keyed reachability
+// walk (reference_test.go).
 
-// stateKey identifies one configuration: its two hash lanes in compact
-// mode, or its exact fingerprint string when Options.StringFingerprints is
-// set (h1 = h2 = 0 then). Keys are comparable with ==.
+// stateKey identifies one configuration by its two hash lanes. Keys are
+// comparable with ==.
 type stateKey struct {
 	h1, h2 uint64
-	str    string
 }
 
 // fpEntry is the primary occupant of one lane-A slot.
@@ -136,59 +134,3 @@ func (m *fpMap[T]) del(h1, h2 uint64, str func() string) {
 
 // length returns the number of live entries.
 func (m *fpMap[T]) length() int { return m.n }
-
-// stateTable is the checker-facing table: an fpMap in compact mode, a plain
-// string-keyed map when Options.StringFingerprints is set.
-type stateTable[T any] struct {
-	useStr bool
-	str    map[string]T
-	fp     *fpMap[T]
-}
-
-func newStateTable[T any](useStr bool) *stateTable[T] {
-	t := &stateTable[T]{useStr: useStr}
-	if useStr {
-		t.str = make(map[string]T)
-	} else {
-		t.fp = newFPMap[T]()
-	}
-	return t
-}
-
-func (t *stateTable[T]) get(k stateKey, str func() string) (T, bool) {
-	if t.useStr {
-		v, ok := t.str[k.str]
-		return v, ok
-	}
-	return t.fp.get(k.h1, k.h2, str)
-}
-
-func (t *stateTable[T]) put(k stateKey, str func() string, val T) {
-	if t.useStr {
-		t.str[k.str] = val
-		return
-	}
-	t.fp.put(k.h1, k.h2, str, val)
-}
-
-func (t *stateTable[T]) del(k stateKey, str func() string) {
-	if t.useStr {
-		delete(t.str, k.str)
-		return
-	}
-	t.fp.del(k.h1, k.h2, str)
-}
-
-func (t *stateTable[T]) length() int {
-	if t.useStr {
-		return len(t.str)
-	}
-	return t.fp.length()
-}
-
-func (t *stateTable[T]) hashCollisions() int {
-	if t.useStr {
-		return 0
-	}
-	return t.fp.collisions
-}

@@ -107,30 +107,3 @@ func TestFPMapCollidedDelete(t *testing.T) {
 		t.Fatal("no-op delete decremented length")
 	}
 }
-
-func TestStateTableModes(t *testing.T) {
-	for _, useStr := range []bool{false, true} {
-		tab := newStateTable[int](useStr)
-		key := func(i uint64, s string) stateKey {
-			if useStr {
-				return stateKey{str: s}
-			}
-			return stateKey{h1: i, h2: i * 31}
-		}
-		tab.put(key(1, "one"), strOf("one"), 1)
-		tab.put(key(2, "two"), strOf("two"), 2)
-		if v, ok := tab.get(key(1, "one"), strOf("one")); !ok || v != 1 {
-			t.Fatalf("useStr=%t: get = %d, %t", useStr, v, ok)
-		}
-		if tab.length() != 2 {
-			t.Fatalf("useStr=%t: length = %d", useStr, tab.length())
-		}
-		tab.del(key(1, "one"), strOf("one"))
-		if _, ok := tab.get(key(1, "one"), strOf("one")); ok || tab.length() != 1 {
-			t.Fatalf("useStr=%t: delete failed", useStr)
-		}
-		if tab.hashCollisions() != 0 {
-			t.Fatalf("useStr=%t: spurious collisions", useStr)
-		}
-	}
-}

@@ -57,10 +57,6 @@ type Options struct {
 	// Workers× the cap), and the order of recorded Violations may differ
 	// from the serial order.
 	Workers int
-	// StringFingerprints forces the exact string-fingerprint state tables
-	// used before compact hashing — slower and allocation-heavy, kept for
-	// differential testing against the compact 128-bit tables.
-	StringFingerprints bool
 	// Symmetry selects reduction under the cycle's automorphism group (see
 	// symmetry.go): SymmetryOff (default) is byte-identical to the
 	// historical checker; SymmetryAssignments reduces sweep-level
@@ -94,7 +90,6 @@ type Options struct {
 	// internal/ooc). State identity is the full 128-bit fingerprint —
 	// exactly the in-RAM compact tables' identity — so States, Terminal,
 	// and WeightedStates are bit-identical to an in-RAM run. Ignored
-	// under StringFingerprints (exact string tables cannot spill) and
 	// with Workers > 1 (the parallel merge keeps key sets in RAM, so
 	// spilling the visited probes would not reduce the footprint).
 	SpillDir string
@@ -222,7 +217,7 @@ type Report struct {
 	// HashCollisions counts lane-A collisions of the compact-fingerprint
 	// tables, each detected by the second hash lane and resolved exactly
 	// through the full-string fallback (see fpset.go). Expected to be 0 on
-	// every realistic instance; always 0 with Options.StringFingerprints.
+	// every realistic instance.
 	HashCollisions int
 	// Partial reports that the run stopped before exhausting the schedule
 	// space — a budget tripped or the context was cancelled. All counts
@@ -272,8 +267,8 @@ type explorer[V any] struct {
 	opt       Options
 	inv       Invariant[V]
 	canon     bool // key states by canonical (rotation-minimal) fingerprint
-	visited   *stateTable[struct{}]
-	onStack   *stateTable[struct{}]
+	visited   *fpMap[struct{}]
+	onStack   *fpMap[struct{}]
 	path      [][]int    // activation sets from the root to the current state
 	pathFPs   []stateKey // keys of the states along the path
 	report    Report
@@ -311,34 +306,22 @@ type explorer[V any] struct {
 func newExplorer[V any](opt Options) *explorer[V] {
 	return &explorer[V]{
 		opt:     opt.withDefaults(),
-		visited: newStateTable[struct{}](opt.StringFingerprints),
-		onStack: newStateTable[struct{}](opt.StringFingerprints),
+		visited: newFPMap[struct{}](),
+		onStack: newFPMap[struct{}](),
 		ck:      runctl.NewChecker(opt.Context, opt.Budget.Timeout),
 		met:     opt.Metrics,
 	}
 }
 
-// key computes the configuration's identity under the chosen fingerprint
-// scheme. Note FingerprintHash128 uses engine-owned scratch: never key a
-// shared engine from concurrent workers.
-func (x *explorer[V]) key(e *sim.Engine[V]) stateKey {
-	if x.opt.StringFingerprints {
-		return stateKey{str: e.Fingerprint()}
-	}
-	h1, h2 := e.FingerprintHash128()
-	return stateKey{h1: h1, h2: h2}
-}
-
-// keyOrbit is key plus the state's exact rotation-orbit size; with canon
-// set the key is the canonical (rotation-minimal) fingerprint, so every
-// rotationally equivalent configuration lands on the same table slot.
+// keyOrbit computes the configuration's identity and its exact
+// rotation-orbit size; with canon set the key is the canonical
+// (rotation-minimal) fingerprint, so every rotationally equivalent
+// configuration lands on the same table slot. Note the hashes use
+// engine-owned scratch: never key a shared engine from concurrent workers.
 func (x *explorer[V]) keyOrbit(e *sim.Engine[V]) (stateKey, int) {
 	if !x.canon {
-		return x.key(e), 1
-	}
-	if x.opt.StringFingerprints {
-		fp, _, orbit := e.CanonicalFingerprintInfo()
-		return stateKey{str: fp}, orbit
+		h1, h2 := e.FingerprintHash128()
+		return stateKey{h1: h1, h2: h2}, 1
 	}
 	h1, h2, _, orbit := e.CanonicalFingerprintHash128()
 	return stateKey{h1: h1, h2: h2}, orbit
@@ -410,7 +393,7 @@ func Explore[V any](root *sim.Engine[V], opt Options, inv Invariant[V]) Report {
 	if x.canon {
 		x.report.Symmetry = SymmetryFull
 	}
-	if opt.SpillDir != "" && !opt.StringFingerprints {
+	if opt.SpillDir != "" {
 		dir, err := os.MkdirTemp(opt.SpillDir, "spill-")
 		if err == nil {
 			var s *ooc.Set
@@ -433,7 +416,7 @@ func Explore[V any](root *sim.Engine[V], opt Options, inv Invariant[V]) Report {
 		x.spill.Close()
 		os.RemoveAll(x.spillDir)
 	}
-	x.report.HashCollisions = x.visited.hashCollisions() + x.onStack.hashCollisions()
+	x.report.HashCollisions = x.visited.collisions + x.onStack.collisions
 	if x.met != nil {
 		x.met.HashCollisions.Add(int64(x.report.HashCollisions))
 	}
@@ -457,7 +440,7 @@ func (x *explorer[V]) dfs(e *sim.Engine[V], depth int) {
 	}
 	k, orbit := x.keyOrbit(e)
 	strFn := x.strFnFor(e)
-	if _, on := x.onStack.get(k, strFn); on {
+	if _, on := x.onStack.get(k.h1, k.h2, strFn); on {
 		if !x.report.CycleFound {
 			x.report.CycleFound = true
 			// The repeated state sits somewhere along the current path;
@@ -488,10 +471,10 @@ func (x *explorer[V]) dfs(e *sim.Engine[V], depth int) {
 			return
 		}
 	} else {
-		if _, seen := x.visited.get(k, strFn); seen {
+		if _, seen := x.visited.get(k.h1, k.h2, strFn); seen {
 			return
 		}
-		x.visited.put(k, strFn, struct{}{})
+		x.visited.put(k.h1, k.h2, strFn, struct{}{})
 	}
 	x.report.States++
 	// budgetStates is the count the MaxStates budget below trips on: the
@@ -553,7 +536,7 @@ func (x *explorer[V]) dfs(e *sim.Engine[V], depth int) {
 		// All remaining processes crashed: nothing can evolve.
 		return
 	}
-	x.onStack.put(k, strFn, struct{}{})
+	x.onStack.put(k.h1, k.h2, strFn, struct{}{})
 	x.pathFPs = append(x.pathFPs, k)
 	for _, subset := range subsets(working, x.opt.SingletonsOnly) {
 		child := x.clone(e)
@@ -567,7 +550,7 @@ func (x *explorer[V]) dfs(e *sim.Engine[V], depth int) {
 		}
 	}
 	x.pathFPs = x.pathFPs[:len(x.pathFPs)-1]
-	x.onStack.del(k, strFn)
+	x.onStack.del(k.h1, k.h2, strFn)
 }
 
 // WorstActivations computes, for each process, the exact maximum number of
@@ -581,8 +564,8 @@ func WorstActivations[V any](root *sim.Engine[V], opt Options) ([]int, bool, Rep
 	defer cancel()
 	w := &worst[V]{
 		opt:  opt,
-		memo: newStateTable[[]int](opt.StringFingerprints),
-		onSt: newStateTable[struct{}](opt.StringFingerprints),
+		memo: newFPMap[[]int](),
+		onSt: newFPMap[struct{}](),
 		zero: make([]int, root.N()),
 		ck:   runctl.NewChecker(opt.Context, opt.Budget.Timeout),
 		met:  opt.Metrics,
@@ -596,7 +579,7 @@ func WorstActivations[V any](root *sim.Engine[V], opt Options) ([]int, bool, Rep
 	if w.canon && vec != nil {
 		vec = append([]int(nil), vec...) // may alias the rotation scratch
 	}
-	w.report.HashCollisions = w.memo.hashCollisions() + w.onSt.hashCollisions()
+	w.report.HashCollisions = w.memo.collisions + w.onSt.collisions
 	ok := !w.report.CycleFound && !w.report.Truncated && !w.report.Partial
 	return vec, ok, w.report
 }
@@ -604,8 +587,8 @@ func WorstActivations[V any](root *sim.Engine[V], opt Options) ([]int, bool, Rep
 type worst[V any] struct {
 	opt       Options
 	canon     bool // key states by canonical rotation-minimal fingerprint
-	memo      *stateTable[[]int]
-	onSt      *stateTable[struct{}]
+	memo      *fpMap[[]int]
+	onSt      *fpMap[struct{}]
 	report    Report
 	zero      []int // shared all-zeros vector; callers must not mutate results
 	rotBuf    []int // scratch for rotating memo vectors back into query frames
@@ -615,27 +598,16 @@ type worst[V any] struct {
 	met       *metrics.Run
 }
 
-func (w *worst[V]) key(e *sim.Engine[V]) stateKey {
-	if w.opt.StringFingerprints {
-		return stateKey{str: e.Fingerprint()}
-	}
-	h1, h2 := e.FingerprintHash128()
-	return stateKey{h1: h1, h2: h2}
-}
-
-// keyRot is key plus the rotation carrying this configuration into its
-// canonical frame (canonical-frame position j holds process (j+rot) mod n
-// of e) and the exact rotation-orbit size. Memo vectors are stored in the
-// canonical frame and rotated back into each query's own frame on
-// retrieval, so rotationally equivalent configurations share one memo
-// entry yet every caller sees its own process indexing.
+// keyRot computes the configuration's identity, the rotation carrying it
+// into its canonical frame (canonical-frame position j holds process
+// (j+rot) mod n of e) and the exact rotation-orbit size. Memo vectors are
+// stored in the canonical frame and rotated back into each query's own
+// frame on retrieval, so rotationally equivalent configurations share one
+// memo entry yet every caller sees its own process indexing.
 func (w *worst[V]) keyRot(e *sim.Engine[V]) (stateKey, int, int) {
 	if !w.canon {
-		return w.key(e), 0, 1
-	}
-	if w.opt.StringFingerprints {
-		fp, rot, orbit := e.CanonicalFingerprintInfo()
-		return stateKey{str: fp}, rot, orbit
+		h1, h2 := e.FingerprintHash128()
+		return stateKey{h1: h1, h2: h2}, 0, 1
 	}
 	h1, h2, rot, orbit := e.CanonicalFingerprintHash128()
 	return stateKey{h1: h1, h2: h2}, rot, orbit
@@ -705,16 +677,16 @@ func (w *worst[V]) dfs(e *sim.Engine[V], depth int) []int {
 	}
 	k, rot, orbit := w.keyRot(e)
 	strFn := w.strFnFor(e)
-	if _, on := w.onSt.get(k, strFn); on {
+	if _, on := w.onSt.get(k.h1, k.h2, strFn); on {
 		w.report.CycleFound = true
 		return w.zero
 	}
-	if v, ok := w.memo.get(k, strFn); ok {
+	if v, ok := w.memo.get(k.h1, k.h2, strFn); ok {
 		return w.fromCanon(v, rot)
 	}
 	if e.AllDone() {
 		w.report.Terminal++
-		w.memo.put(k, strFn, w.zero)
+		w.memo.put(k.h1, k.h2, strFn, w.zero)
 		if w.canon {
 			w.report.WeightedStates += int64(orbit)
 		}
@@ -736,13 +708,13 @@ func (w *worst[V]) dfs(e *sim.Engine[V], depth int) []int {
 	}
 	working := workingSet(e)
 	if len(working) == 0 {
-		w.memo.put(k, strFn, w.zero)
+		w.memo.put(k.h1, k.h2, strFn, w.zero)
 		if w.canon {
 			w.report.WeightedStates += int64(orbit)
 		}
 		return w.zero
 	}
-	w.onSt.put(k, strFn, struct{}{})
+	w.onSt.put(k.h1, k.h2, strFn, struct{}{})
 	best := make([]int, n)
 	for _, subset := range subsets(working, w.opt.SingletonsOnly) {
 		child := w.clone(e)
@@ -767,8 +739,8 @@ func (w *worst[V]) dfs(e *sim.Engine[V], depth int) []int {
 			break
 		}
 	}
-	w.onSt.del(k, strFn)
-	w.memo.put(k, strFn, w.toCanon(best, rot))
+	w.onSt.del(k.h1, k.h2, strFn)
+	w.memo.put(k.h1, k.h2, strFn, w.toCanon(best, rot))
 	if w.canon {
 		w.report.WeightedStates += int64(orbit)
 	}

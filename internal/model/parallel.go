@@ -37,20 +37,10 @@ func exploreParallel[V any](root *sim.Engine[V], opt Options, inv Invariant[V]) 
 	canon := canonApplies(root, opt)
 	var rootKey stateKey
 	rootOrbit := 1
-	switch {
-	case canon && opt.StringFingerprints:
-		var fp string
-		fp, _, rootOrbit = root.CanonicalFingerprintInfo()
-		rootKey = stateKey{str: fp}
-	case canon:
-		var h1, h2 uint64
-		h1, h2, _, rootOrbit = root.CanonicalFingerprintHash128()
-		rootKey = stateKey{h1: h1, h2: h2}
-	case opt.StringFingerprints:
-		rootKey = stateKey{str: root.Fingerprint()}
-	default:
-		h1, h2 := root.FingerprintHash128()
-		rootKey = stateKey{h1: h1, h2: h2}
+	if canon {
+		rootKey.h1, rootKey.h2, _, rootOrbit = root.CanonicalFingerprintHash128()
+	} else {
+		rootKey.h1, rootKey.h2 = root.FingerprintHash128()
 	}
 	rootStr := root.Fingerprint()
 	if canon {
@@ -115,7 +105,7 @@ func exploreParallel[V any](root *sim.Engine[V], opt Options, inv Invariant[V]) 
 		// the stack for the whole worker: cycle prefixes and violation
 		// witnesses then come out rooted at the initial configuration, and
 		// cycles through the root itself are detected.
-		x.onStack.put(rootKey, rootStrFn, struct{}{})
+		x.onStack.put(rootKey.h1, rootKey.h2, rootStrFn, struct{}{})
 		x.path = append(x.path, subset)
 		x.pathFPs = append(x.pathFPs, rootKey)
 		child := root.Clone()
@@ -153,7 +143,7 @@ func exploreParallel[V any](root *sim.Engine[V], opt Options, inv Invariant[V]) 
 		if r.DeepestPath > rep.DeepestPath {
 			rep.DeepestPath = r.DeepestPath
 		}
-		rep.HashCollisions += x.visited.hashCollisions() + x.onStack.hashCollisions()
+		rep.HashCollisions += x.visited.collisions + x.onStack.collisions
 		if r.CycleFound && !rep.CycleFound {
 			rep.CycleFound = true
 			rep.CyclePrefix = r.CyclePrefix

@@ -57,21 +57,19 @@ func ObstructionFree[V any](root *sim.Engine[V], opt Options, soloBound int) (st
 		return nil
 	}
 	x.dfs(root, 0)
-	x.report.HashCollisions = x.visited.hashCollisions() + x.onStack.hashCollisions()
+	x.report.HashCollisions = x.visited.collisions + x.onStack.collisions
 	return counterexample, x.report
 }
 
 // stateGraph is the explicit reachable configuration graph used by the
 // fair-termination analysis. State identity uses the same compact-
-// fingerprint table as the explorer (exact string keys under
-// Options.StringFingerprints). With canon set, states are rotation orbits:
-// working sets and edge activation sets are stored in each state's
+// fingerprint table as the explorer. With canon set, states are rotation
+// orbits: working sets and edge activation sets are stored in each state's
 // canonical frame, and every edge records the frame shift into its target
 // — enough to expand the quotient back into the full rotation closure for
 // the fairness analysis (see liftQuotient).
 type stateGraph struct {
-	ids       *stateTable[int]
-	useStr    bool
+	ids       *fpMap[int]
 	canon     bool
 	n         int      // processes; frame arithmetic under canon
 	edges     [][]edge // adjacency: edges[s] lists transitions out of s
@@ -124,10 +122,9 @@ func rotateSet(ps []int, by, n int) []int {
 func FairlyTerminates[V any](root *sim.Engine[V], opt Options) (string, Report) {
 	opt = opt.withDefaults()
 	g := &stateGraph{
-		ids:    newStateTable[int](opt.StringFingerprints),
-		useStr: opt.StringFingerprints,
-		canon:  canonApplies(root, opt),
-		n:      root.N(),
+		ids:   newFPMap[int](),
+		canon: canonApplies(root, opt),
+		n:     root.N(),
 	}
 	rep := Report{}
 	if g.canon {
@@ -135,7 +132,7 @@ func FairlyTerminates[V any](root *sim.Engine[V], opt Options) (string, Report) 
 	}
 	buildStateGraph(root, opt, g, &rep, 0, nil)
 	rep.States = len(g.edges)
-	rep.HashCollisions = g.ids.hashCollisions()
+	rep.HashCollisions = g.ids.collisions
 	if g.truncated {
 		rep.Truncated = true
 	}
@@ -204,22 +201,12 @@ func liftQuotient(g *stateGraph) *stateGraph {
 // be combined with canon — legitimacy need not be rotation-invariant
 // (stabilizing protocols may distinguish a root process).
 func buildStateGraph[V any](e *sim.Engine[V], opt Options, g *stateGraph, rep *Report, depth int, legal func(*sim.Engine[V]) error) (int, int) {
-	var k stateKey
+	var h1, h2 uint64
 	rot, orbit := 0, 1
-	switch {
-	case g.canon && g.useStr:
-		var fp string
-		fp, rot, orbit = e.CanonicalFingerprintInfo()
-		k = stateKey{str: fp}
-	case g.canon:
-		var h1, h2 uint64
+	if g.canon {
 		h1, h2, rot, orbit = e.CanonicalFingerprintHash128()
-		k = stateKey{h1: h1, h2: h2}
-	case g.useStr:
-		k = stateKey{str: e.Fingerprint()}
-	default:
-		h1, h2 := e.FingerprintHash128()
-		k = stateKey{h1: h1, h2: h2}
+	} else {
+		h1, h2 = e.FingerprintHash128()
 	}
 	strFn := func() string {
 		if g.canon {
@@ -227,11 +214,11 @@ func buildStateGraph[V any](e *sim.Engine[V], opt Options, g *stateGraph, rep *R
 		}
 		return e.Fingerprint()
 	}
-	if id, ok := g.ids.get(k, strFn); ok {
+	if id, ok := g.ids.get(h1, h2, strFn); ok {
 		return id, rot
 	}
 	id := len(g.edges)
-	g.ids.put(k, strFn, id)
+	g.ids.put(h1, h2, strFn, id)
 	working := workingSet(e)
 	g.edges = append(g.edges, nil)
 	if g.canon {

@@ -70,14 +70,13 @@ func (r StabReport) String() string {
 func CheckStabilization[V any](root *sim.Engine[V], opt Options, legal func(e *sim.Engine[V]) error) StabReport {
 	opt = opt.withDefaults()
 	g := &stateGraph{
-		ids:    newStateTable[int](opt.StringFingerprints),
-		useStr: opt.StringFingerprints,
-		n:      root.N(),
+		ids: newFPMap[int](),
+		n:   root.N(),
 	}
 	rep := Report{}
 	buildStateGraph(root, opt, g, &rep, 0, legal)
 	rep.States = len(g.edges)
-	rep.HashCollisions = g.ids.hashCollisions()
+	rep.HashCollisions = g.ids.collisions
 	if g.truncated {
 		rep.Truncated = true
 	}

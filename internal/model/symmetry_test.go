@@ -253,11 +253,10 @@ func TestSymmetryParallelEquivalence(t *testing.T) {
 func TestSymmetryHashVsStringCanonical(t *testing.T) {
 	opt := model.Options{SingletonsOnly: true, Symmetry: model.SymmetryFull}
 	hashRep := model.Explore(fiveEngine(t, 4), opt, nil)
-	opt.StringFingerprints = true
-	strRep := model.Explore(fiveEngine(t, 4), opt, nil)
+	strRep := model.RefExplore(fiveEngine(t, 4), true, model.DefaultMaxDepth)
 	if hashRep.States != strRep.States || hashRep.WeightedStates != strRep.WeightedStates ||
 		hashRep.Terminal != strRep.Terminal {
-		t.Errorf("hash %v vs string %v", hashRep, strRep)
+		t.Errorf("hash %v vs canonical string reference %+v", hashRep, strRep)
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 
 	"asynccycle/internal/agree"
-	"asynccycle/internal/check"
-	"asynccycle/internal/graph"
 	"asynccycle/internal/sim"
 )
 
@@ -18,18 +16,6 @@ func agreeIDs(minN int) func(xs []int) error {
 			return fmt.Errorf("approximate agreement needs n ≥ %d, got %d", minN, len(xs))
 		}
 		return nil
-	}
-}
-
-// agreeChecks renders the contract's properties as colorcycle verdict
-// lines.
-func agreeChecks(h agree.ValueGraph) func(g graph.Graph) []NamedCheck {
-	return func(graph.Graph) []NamedCheck {
-		return []NamedCheck{
-			{fmt.Sprintf("edge-agreement on %s", h.Name()), func(r sim.Result) error { return agree.EdgeAgreement(h, r) }},
-			{fmt.Sprintf("range (vertices of %s)", h.Name()), func(r sim.Result) error { return agree.Range(h, r) }},
-			{"survivors terminated", check.SurvivorsTerminated},
-		}
 	}
 }
 
@@ -73,7 +59,6 @@ func registerAgree() {
 				Topology:     completeTopology,
 				ValidateIDs:  agreeIDs(2),
 				Contract:     agree.Contract(h),
-				Checks:       agreeChecks(h),
 				FuzzIDs:      agreeFuzzIDs(tc.m),
 			},
 			New: func(xs []int) []sim.Node[agree.Val] { return agree.NewPathNodes(xs, m) },
@@ -96,7 +81,6 @@ func registerAgree() {
 			Topology:     completeTopology,
 			ValidateIDs:  agreeIDs(2),
 			Contract:     agree.Contract(h),
-			Checks:       agreeChecks(h),
 			FuzzIDs:      agreeFuzzIDs(4),
 			// The one-shot meet protocol is a two-process algorithm; fuzzed
 			// sizes collapse to n = 2.

@@ -5,6 +5,7 @@ import (
 
 	"asynccycle/internal/bigsim"
 	"asynccycle/internal/check"
+	"asynccycle/internal/contract"
 	"asynccycle/internal/core"
 	"asynccycle/internal/cv"
 	"asynccycle/internal/graph"
@@ -27,43 +28,19 @@ func cycleIDs(xs []int) error {
 	return nil
 }
 
-// fiveValidity is the specification shared by Algorithms 2 and 3: a proper
-// coloring of the terminated subgraph with colors in {0..4}, at every
-// reachable configuration.
-func fiveValidity(g graph.Graph, r sim.Result) error {
-	if err := check.ProperColoring(g, r); err != nil {
-		return err
-	}
-	return check.PaletteRange(r, 5)
-}
+// fiveContract is the specification shared by Algorithms 2 and 3: a
+// proper coloring of the terminated subgraph with colors in {0..4}, at
+// every reachable configuration.
+var fiveContract = bareContract("coloring", contract.WaitFreeBounded, properColoring, palette(5))
 
-// sixValidity is Algorithm 1's specification, stated degree-generically:
+// sixContract is Algorithm 1's specification, stated degree-generically:
 // proper coloring with pair colors (a, b), a+b ≤ Δ. On the cycle Δ = 2,
 // giving the paper's 6-color palette; the same machine yields pairs with
 // a+b ≤ Δ on any Δ-bounded graph (Appendix A's O(Δ²) interim coloring).
-func sixValidity(g graph.Graph, r sim.Result) error {
-	if err := check.ProperColoring(g, r); err != nil {
-		return err
-	}
-	return check.PairPalette(r, g.MaxDegree())
-}
-
-func fiveChecks(g graph.Graph) []NamedCheck {
-	return []NamedCheck{
-		{"proper coloring", func(r sim.Result) error { return check.ProperColoring(g, r) }},
-		{"palette {0..4}", func(r sim.Result) error { return check.PaletteRange(r, 5) }},
-		{"survivors terminated", check.SurvivorsTerminated},
-	}
-}
-
-func sixChecks(g graph.Graph) []NamedCheck {
-	maxDeg := g.MaxDegree()
-	return []NamedCheck{
-		{"proper coloring", func(r sim.Result) error { return check.ProperColoring(g, r) }},
-		{fmt.Sprintf("pair palette a+b≤%d", maxDeg), func(r sim.Result) error { return check.PairPalette(r, maxDeg) }},
-		{"survivors terminated", check.SurvivorsTerminated},
-	}
-}
+var sixContract = bareContract("coloring", contract.WaitFreeBounded, properColoring, contract.Property{
+	Name:  "pair palette a+b≤Δ",
+	Check: func(g graph.Graph, r sim.Result) error { return check.PairPalette(r, g.MaxDegree()) },
+})
 
 func registerCore() {
 	MustRegisterEngine(EngineSpec[core.PairVal]{
@@ -83,8 +60,7 @@ func registerCore() {
 			Topology:     cycleTopology,
 			ValidateIDs:  cycleIDs,
 			FormatOutput: func(c int) string { a, b := core.DecodePair(c); return fmt.Sprintf("(%d,%d)", a, b) },
-			Validity:     sixValidity,
-			Checks:       sixChecks,
+			Contract:     sixContract,
 			BigKernel:    bigsim.NewSixKernel,
 		},
 		New:   core.NewPairNodes,
@@ -106,8 +82,7 @@ func registerCore() {
 			Bound:        func(n int) int { return 3*n + 8 },
 			Topology:     cycleTopology,
 			ValidateIDs:  cycleIDs,
-			Validity:     fiveValidity,
-			Checks:       fiveChecks,
+			Contract:     fiveContract,
 			BigKernel:    bigsim.NewFiveKernel,
 		},
 		New:   core.NewFiveNodes,
@@ -129,8 +104,7 @@ func registerCore() {
 			Bound:        func(n int) int { return 8 * (cv.LogStar(float64(n)) + 4) },
 			Topology:     cycleTopology,
 			ValidateIDs:  cycleIDs,
-			Validity:     fiveValidity,
-			Checks:       fiveChecks,
+			Contract:     fiveContract,
 			BigKernel:    bigsim.NewFastKernel,
 		},
 		New:   core.NewFastNodes,

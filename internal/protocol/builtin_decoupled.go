@@ -3,7 +3,7 @@ package protocol
 import (
 	"fmt"
 
-	"asynccycle/internal/check"
+	"asynccycle/internal/contract"
 	"asynccycle/internal/decoupled"
 	"asynccycle/internal/graph"
 	"asynccycle/internal/model"
@@ -54,15 +54,10 @@ func convDecoupled(r decoupled.Result) sim.Result {
 	}
 }
 
-// decoupledThreeValidity is the ThreeColor specification: a proper
+// decoupledThreeContract is the ThreeColor specification: a proper
 // coloring of the terminated subgraph with only 3 colors — beating the
 // state model's 5-color lower bound by exploiting the synchronous layer.
-func decoupledThreeValidity(g graph.Graph, r sim.Result) error {
-	if err := check.ProperColoring(g, r); err != nil {
-		return err
-	}
-	return check.PaletteRange(r, 3)
-}
+var decoupledThreeContract = bareContract("coloring", contract.Convergence, properColoring, palette(3))
 
 func registerDecoupled() {
 	mk := func(xs []int, crashes map[int]int) (*decoupled.Engine[decoupled.ThreeColorVal], graph.Graph, error) {
@@ -96,18 +91,11 @@ func registerDecoupled() {
 		Family:       "cycle",
 		Topology:     cycleTopology,
 		ValidateIDs:  misIDs,
-		Validity:     decoupledThreeValidity,
+		Contract:     decoupledThreeContract,
 
 		// The tick counter makes the state graph infinite; without a
 		// depth horizon Check runs straight to its state budget.
 		DefaultCheckDepth: 6,
-		Checks: func(g graph.Graph) []NamedCheck {
-			return []NamedCheck{
-				{"proper coloring", func(r sim.Result) error { return check.ProperColoring(g, r) }},
-				{"palette {0..2}", func(r sim.Result) error { return check.PaletteRange(r, 3) }},
-				{"survivors terminated", check.SurvivorsTerminated},
-			}
-		},
 
 		NewInstance: func(xs []int, mode sim.Mode, crashes map[int]int) (sim.Instance, error) {
 			e, _, err := mk(xs, crashes)
@@ -172,7 +160,7 @@ func registerDecoupled() {
 				return model.Report{}, err
 			}
 			inst := &decoupledInstance{e: e}
-			inv := func(i sim.Instance) error { return decoupledThreeValidity(g, i.Result()) }
+			inv := func(i sim.Instance) error { return decoupledThreeContract.Safety(g, i.Result()) }
 			return model.ExploreInstance(inst, opt, inv), nil
 		},
 	})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"asynccycle/internal/check"
+	"asynccycle/internal/contract"
 	"asynccycle/internal/dp1"
 	"asynccycle/internal/graph"
 	"asynccycle/internal/sim"
@@ -19,24 +20,13 @@ func dp1IDs(xs []int) error {
 	return distinctIDs(xs)
 }
 
-// dp1Validity is the (Δ+1)-coloring specification: a proper coloring of
+// dp1Contract is the (Δ+1)-coloring specification: a proper coloring of
 // the terminated subgraph with colors in {0..Δ}, at every reachable
 // configuration.
-func dp1Validity(g graph.Graph, r sim.Result) error {
-	if err := check.ProperColoring(g, r); err != nil {
-		return err
-	}
-	return check.PaletteRange(r, g.MaxDegree()+1)
-}
-
-func dp1Checks(g graph.Graph) []NamedCheck {
-	maxDeg := g.MaxDegree()
-	return []NamedCheck{
-		{"proper coloring", func(r sim.Result) error { return check.ProperColoring(g, r) }},
-		{fmt.Sprintf("palette {0..%d} (Δ+1)", maxDeg), func(r sim.Result) error { return check.PaletteRange(r, maxDeg+1) }},
-		{"survivors terminated", check.SurvivorsTerminated},
-	}
-}
+var dp1Contract = bareContract("coloring", contract.Convergence, properColoring, contract.Property{
+	Name:  "palette {0..Δ} (Δ+1)",
+	Check: func(g graph.Graph, r sim.Result) error { return check.PaletteRange(r, g.MaxDegree()+1) },
+})
 
 func registerDP1() {
 	MustRegisterEngine(EngineSpec[dp1.Val]{
@@ -54,8 +44,7 @@ func registerDP1() {
 			Topologies:   []string{"path", "complete", "torus", "random"},
 			Topology:     cycleTopology,
 			ValidateIDs:  dp1IDs,
-			Validity:     dp1Validity,
-			Checks:       dp1Checks,
+			Contract:     dp1Contract,
 		},
 		New:   dp1.NewNodes,
 		Sweep: true,

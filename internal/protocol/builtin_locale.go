@@ -3,21 +3,11 @@ package protocol
 import (
 	"fmt"
 
-	"asynccycle/internal/check"
-	"asynccycle/internal/graph"
+	"asynccycle/internal/contract"
 	"asynccycle/internal/locale"
 	"asynccycle/internal/runctl"
 	"asynccycle/internal/sim"
 )
-
-// localeValidity is the synchronous LOCAL baseline specification: a proper
-// 3-coloring of the whole cycle.
-func localeValidity(g graph.Graph, r sim.Result) error {
-	if err := check.ProperColoring(g, r); err != nil {
-		return err
-	}
-	return check.PaletteRange(r, 3)
-}
 
 func registerLocale() {
 	MustRegister(&Descriptor{
@@ -33,14 +23,9 @@ func registerLocale() {
 		Family:       "cycle",
 		Topology:     cycleTopology,
 		ValidateIDs:  misIDs,
-		Validity:     localeValidity,
-		Checks: func(g graph.Graph) []NamedCheck {
-			return []NamedCheck{
-				{"proper coloring", func(r sim.Result) error { return check.ProperColoring(g, r) }},
-				{"palette {0..2}", func(r sim.Result) error { return check.PaletteRange(r, 3) }},
-				{"all terminated", check.AllTerminated},
-			}
-		},
+		// The synchronous LOCAL baseline specification: a proper
+		// 3-coloring of the whole cycle.
+		Contract: bareContract("coloring", contract.Convergence, properColoring, palette(3)),
 
 		// Run executes the synchronous algorithm directly: the LOCAL model
 		// has no adversary, so Scheduler, Mode, and Budget do not apply,

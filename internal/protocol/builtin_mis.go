@@ -3,7 +3,7 @@ package protocol
 import (
 	"fmt"
 
-	"asynccycle/internal/check"
+	"asynccycle/internal/contract"
 	"asynccycle/internal/graph"
 	"asynccycle/internal/ids"
 	"asynccycle/internal/mis"
@@ -24,20 +24,16 @@ func distinctIDs(xs []int) error {
 	return nil
 }
 
-// misValidity checks the maximal-independent-set conditions on the
+// misProperty checks the maximal-independent-set conditions on the
 // terminated processes.
-func misValidity(g graph.Graph, r sim.Result) error {
-	if v := mis.ViolatesMIS(g.Edges(), g.N(), r.Outputs, r.Done); v != "" {
-		return fmt.Errorf("%s", v)
-	}
-	return nil
-}
-
-func misChecks(g graph.Graph) []NamedCheck {
-	return []NamedCheck{
-		{"maximal independent set", func(r sim.Result) error { return misValidity(g, r) }},
-		{"survivors terminated", check.SurvivorsTerminated},
-	}
+var misProperty = contract.Property{
+	Name: "maximal independent set",
+	Check: func(g graph.Graph, r sim.Result) error {
+		if v := mis.ViolatesMIS(g.Edges(), g.N(), r.Outputs, r.Done); v != "" {
+			return fmt.Errorf("%s", v)
+		}
+		return nil
+	},
 }
 
 func misIDs(xs []int) error {
@@ -61,8 +57,7 @@ func registerMIS() {
 			Family:       "cycle",
 			Topology:     cycleTopology,
 			ValidateIDs:  misIDs,
-			Validity:     misValidity,
-			Checks:       misChecks,
+			Contract:     bareContract("mis", contract.Convergence, misProperty),
 		},
 		New: mis.NewGreedyNodes,
 	})
@@ -80,8 +75,7 @@ func registerMIS() {
 			Bound:        func(n int) int { return misPatience + 3 },
 			Topology:     cycleTopology,
 			ValidateIDs:  misIDs,
-			Validity:     misValidity,
-			Checks:       misChecks,
+			Contract:     bareContract("mis", contract.WaitFreeBounded, misProperty),
 		},
 		New: func(xs []int) []sim.Node[mis.Val] { return mis.NewImpatientNodes(xs, misPatience) },
 	})

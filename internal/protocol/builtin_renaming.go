@@ -3,7 +3,7 @@ package protocol
 import (
 	"fmt"
 
-	"asynccycle/internal/check"
+	"asynccycle/internal/contract"
 	"asynccycle/internal/graph"
 	"asynccycle/internal/renaming"
 	"asynccycle/internal/sim"
@@ -13,9 +13,9 @@ import (
 // protocols (renaming, and the SSB cycle simulation).
 func completeTopology(n int) (graph.Graph, error) { return graph.Complete(n) }
 
-// renamingValidity checks the (2n-1)-renaming specification on the
+// distinctNames checks the (2n-1)-renaming specification on the
 // terminated processes: names inside {0..2n-2}, pairwise distinct.
-func renamingValidity(g graph.Graph, r sim.Result) error {
+func distinctNames(g graph.Graph, r sim.Result) error {
 	n := g.N()
 	seen := map[int]bool{}
 	for i, out := range r.Outputs {
@@ -48,13 +48,8 @@ func registerRenaming() {
 			Bound:        func(n int) int { return n + 2 },
 			Topology:     completeTopology,
 			ValidateIDs:  distinctIDs,
-			Validity:     renamingValidity,
-			Checks: func(g graph.Graph) []NamedCheck {
-				return []NamedCheck{
-					{"distinct names in {0..2n-2}", func(r sim.Result) error { return renamingValidity(g, r) }},
-					{"survivors terminated", check.SurvivorsTerminated},
-				}
-			},
+			Contract: bareContract("renaming", contract.WaitFreeBounded,
+				contract.Property{Name: "distinct names in {0..2n-2}", Check: distinctNames}),
 		},
 		New: renaming.NewNodes,
 	})

@@ -3,28 +3,24 @@ package protocol
 import (
 	"fmt"
 
-	"asynccycle/internal/check"
+	"asynccycle/internal/contract"
 	"asynccycle/internal/graph"
 	"asynccycle/internal/mis"
 	"asynccycle/internal/sim"
 	"asynccycle/internal/ssb"
 )
 
-// ssbValidity checks the snapshot-based-simulation outcome conditions from
-// ssb.Check on the terminated processes.
-func ssbValidity(g graph.Graph, r sim.Result) error {
-	if v := ssb.Check(r.Outputs, r.Done); v != "" {
-		return fmt.Errorf("%s", v)
-	}
-	return nil
-}
-
-func ssbChecks(g graph.Graph) []NamedCheck {
-	return []NamedCheck{
-		{"SSB outcome conditions", func(r sim.Result) error { return ssbValidity(g, r) }},
-		{"survivors terminated", check.SurvivorsTerminated},
-	}
-}
+// ssbContract checks the snapshot-based-simulation outcome conditions
+// from ssb.Check on the terminated processes.
+var ssbContract = bareContract("ssb", contract.Convergence, contract.Property{
+	Name: "SSB outcome conditions",
+	Check: func(_ graph.Graph, r sim.Result) error {
+		if v := ssb.Check(r.Outputs, r.Done); v != "" {
+			return fmt.Errorf("%s", v)
+		}
+		return nil
+	},
+})
 
 func ssbIDs(xs []int) error {
 	if len(xs) < 3 {
@@ -47,8 +43,7 @@ func registerSSB() {
 			Family:       "complete",
 			Topology:     completeTopology,
 			ValidateIDs:  ssbIDs,
-			Validity:     ssbValidity,
-			Checks:       ssbChecks,
+			Contract:     ssbContract,
 		},
 		New: func(xs []int) []sim.Node[mis.Val] { return ssb.WrapCycle(mis.NewGreedyNodes(xs)) },
 	})
@@ -65,8 +60,7 @@ func registerSSB() {
 			Family:       "complete",
 			Topology:     completeTopology,
 			ValidateIDs:  ssbIDs,
-			Validity:     ssbValidity,
-			Checks:       ssbChecks,
+			Contract:     ssbContract,
 		},
 		New: func(xs []int) []sim.Node[mis.Val] { return ssb.WrapCycle(mis.NewImpatientNodes(xs, misPatience)) },
 	})

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"asynccycle/internal/contract"
-	"asynccycle/internal/graph"
 	"asynccycle/internal/model"
 	"asynccycle/internal/runctl"
 	"asynccycle/internal/schedule"
@@ -88,12 +87,6 @@ func registerSSUni() {
 			return nil
 		},
 		Contract: ct,
-		Checks: func(g graph.Graph) []NamedCheck {
-			return []NamedCheck{
-				{"proper ring (registers)", func(r sim.Result) error { return ssuni.ProperRing(g, r) }},
-				{"palette {0,1,2}", func(r sim.Result) error { return ssuni.PaletteRange(g, r) }},
-			}
-		},
 		// The stabilization analysis is for the central daemon; the
 		// interleaved mode realizes it (DESIGN.md §15).
 		Modes: []sim.Mode{sim.ModeInterleaved},

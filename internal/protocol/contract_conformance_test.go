@@ -1,17 +1,18 @@
 package protocol
 
 // Registry-wide contract conformance: for every registered descriptor the
-// two property surfaces — the legacy Validity closure and the contract's
-// Safety — must agree verdict-for-verdict on a pinned battery of result
-// shapes. Register synthesizes each surface from the other, so this
-// guards the wiring (including future refactors that might split them),
-// and additionally pins that bare adapters keep their historical
-// unlabeled violation text while explicit contracts carry provenance.
+// contract's conjunctive Safety must agree with the per-property validity
+// verdicts the run surfaces print (Verdicts) on a pinned battery of result
+// shapes — Safety fails exactly when some property verdict fails, with the
+// first failing property's error — and bare contracts must keep their
+// historical unlabeled violation text while labeled contracts carry
+// provenance.
 
 import (
 	"strings"
 	"testing"
 
+	"asynccycle/internal/contract"
 	"asynccycle/internal/sim"
 )
 
@@ -52,14 +53,7 @@ func conformanceBattery(n int) []sim.Result {
 
 func TestContractSafetyAgreesWithValidity(t *testing.T) {
 	for _, d := range All() {
-		d := d
 		t.Run(d.Name, func(t *testing.T) {
-			if d.Contract == nil {
-				t.Fatal("registration must complete the contract surface")
-			}
-			if d.Validity == nil {
-				t.Fatal("registration must complete the legacy Validity surface")
-			}
 			n := d.MinN
 			if n < 3 {
 				n = 3
@@ -71,24 +65,41 @@ func TestContractSafetyAgreesWithValidity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("topology(%d): %v", n, err)
 			}
+			props := len(d.Contract.Properties())
 			for bi, r := range conformanceBattery(n) {
-				vErr := d.Validity(g, r)
-				cErr := d.Contract.Safety(g, r)
-				if (vErr == nil) != (cErr == nil) {
-					t.Fatalf("battery %d: Validity=%v, Contract.Safety=%v — verdicts disagree", bi, vErr, cErr)
+				verdicts := d.Verdicts(g, r)
+				want := props
+				if d.Contract.TerminalPolicy() == contract.CheckAtTermination {
+					want++
 				}
-				if vErr == nil {
+				if len(verdicts) != want {
+					t.Fatalf("battery %d: %d verdict lines for %d properties", bi, len(verdicts), props)
+				}
+				var first *Verdict
+				for i := range verdicts[:props] {
+					if verdicts[i].Err != nil {
+						first = &verdicts[i]
+						break
+					}
+				}
+				cErr := d.Contract.Safety(g, r)
+				if (first == nil) != (cErr == nil) {
+					t.Fatalf("battery %d: verdicts %v, Contract.Safety=%v — verdicts disagree", bi, verdicts, cErr)
+				}
+				if first == nil {
 					continue
 				}
-				if vErr.Error() != cErr.Error() {
-					t.Fatalf("battery %d: Validity=%q, Contract.Safety=%q — texts disagree", bi, vErr, cErr)
-				}
+				wantText := first.Err.Error()
 				if d.Contract.Labeled() {
+					wantText = first.Name + ": " + wantText
 					if !strings.HasPrefix(cErr.Error(), "contract="+d.Contract.ContractName()+" property=") {
 						t.Fatalf("battery %d: labeled contract violation lacks provenance: %q", bi, cErr)
 					}
 				} else if strings.Contains(cErr.Error(), "contract=") {
-					t.Fatalf("battery %d: bare adapter leaked a provenance label: %q", bi, cErr)
+					t.Fatalf("battery %d: bare contract leaked a provenance label: %q", bi, cErr)
+				}
+				if cErr.Error() != wantText {
+					t.Fatalf("battery %d: Contract.Safety=%q, first failing verdict %q — texts disagree", bi, cErr, wantText)
 				}
 			}
 		})

@@ -131,16 +131,8 @@ func deriveEngine[V any](d *Descriptor, s EngineSpec[V]) {
 	}
 
 	invariant := func(g graph.Graph) model.Invariant[V] {
-		v := d.Validity
-		if v == nil && d.Contract != nil {
-			// Contract-first spec evaluated before Register completed the
-			// legacy surface: the contract's labeled Safety is the invariant.
-			v = d.Contract.Safety
-		}
-		if v == nil {
-			return nil
-		}
-		return func(e *sim.Engine[V]) error { return v(g, e.Result()) }
+		safety := d.Contract.Safety
+		return func(e *sim.Engine[V]) error { return safety(g, e.Result()) }
 	}
 
 	d.Check = func(xs []int, mode sim.Mode, opt model.Options) (model.Report, error) {
@@ -228,10 +220,6 @@ func retargetEngine[V any](s EngineSpec[V], b graph.Builder) (*Descriptor, error
 		d.BigKernel = nil
 	}
 	deriveEngine(&d, s)
-	// Retargeted copies bypass Register: complete the property layer here
-	// so WithTopology views expose the same Contract/Validity pair as the
-	// registered original.
-	completeContract(&d)
 	d.retarget = func(b graph.Builder) (*Descriptor, error) { return retargetEngine(s, b) }
 	return &d, nil
 }

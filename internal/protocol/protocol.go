@@ -22,6 +22,7 @@ import (
 	"text/tabwriter"
 
 	"asynccycle/internal/bigsim"
+	"asynccycle/internal/check"
 	"asynccycle/internal/conc"
 	"asynccycle/internal/contract"
 	"asynccycle/internal/graph"
@@ -30,13 +31,6 @@ import (
 	"asynccycle/internal/schedule"
 	"asynccycle/internal/sim"
 )
-
-// NamedCheck pairs a short human-readable label with an outcome predicate;
-// the colorcycle CLI prints one verdict line per check.
-type NamedCheck struct {
-	Name  string
-	Check func(r sim.Result) error
-}
 
 // RunOptions tunes one deterministic execution through Descriptor.Run. The
 // zero value (plus a positive MaxSteps) runs synchronously, crash-free,
@@ -118,23 +112,12 @@ type Descriptor struct {
 	// FormatOutput renders one output value for display (nil = decimal).
 	FormatOutput func(c int) string
 
-	// Contract is the protocol's correctness contract — the pluggable
-	// property layer every checker consumes (safety properties with
-	// provenance labels, a terminal-state policy, and a liveness kind).
-	// Descriptors may leave it nil and set Validity instead: Register
-	// then synthesizes a bare terminating adapter from Validity/Bound so
-	// pre-contract protocols keep byte-identical output. At least one of
-	// Contract and Validity must be set.
+	// Contract is the protocol's correctness contract, the one property
+	// surface every checker consumes: the model checker evaluates
+	// Contract.Safety as its per-state invariant, the fuzzer as its
+	// safety oracle, and the run surfaces print one verdict line per
+	// property (see Verdicts). Required.
 	Contract contract.Contract
-	// Validity checks an outcome against the protocol's specification.
-	// It must hold at every reachable configuration, counting only
-	// terminated processes — the model checker uses it as its invariant
-	// and the fuzzer as its safety oracle. Nil is allowed when Contract
-	// is set; Register then derives Validity from Contract.Safety.
-	Validity func(g graph.Graph, r sim.Result) error
-	// Checks lists the verdict predicates the colorcycle CLI prints; nil
-	// falls back to Validity as a single "validity" line.
-	Checks func(g graph.Graph) []NamedCheck
 
 	// NewInstance constructs a fresh type-erased instance for exhaustive
 	// exploration and schedule fuzzing. Nil means the protocol cannot be
@@ -144,7 +127,7 @@ type Descriptor struct {
 	Run func(xs []int, o RunOptions) (sim.Result, runctl.StopReason, error)
 	// RunConc executes with real goroutines (nil = no concurrent runtime).
 	RunConc func(xs []int, o conc.Options) (sim.Result, error)
-	// Check exhaustively explores all schedules, checking Validity.
+	// Check exhaustively explores all schedules, checking Contract.Safety.
 	Check func(xs []int, mode sim.Mode, opt model.Options) (model.Report, error)
 	// Worst computes exact per-process worst-case round counts.
 	Worst func(xs []int, mode sim.Mode, opt model.Options) ([]int, bool, model.Report, error)
@@ -239,21 +222,15 @@ var registry = struct {
 }{byName: make(map[string]*Descriptor)}
 
 // Register adds a descriptor to the registry. It rejects descriptors
-// missing the required surfaces (Name, Problem, Topology, Run, and at
-// least one of Validity and Contract) and any name or alias already
-// taken. Registration completes the property layer in both directions:
-// a descriptor with only a legacy Validity closure gets a synthesized
-// bare terminating contract, and a descriptor with only a Contract gets
-// Validity derived from Contract.Safety — so every registered protocol
-// exposes both surfaces.
+// missing the required surfaces (Name, Problem, Topology, Run, Contract)
+// and any name or alias already taken.
 func Register(d *Descriptor) error {
 	if d == nil || d.Name == "" {
 		return fmt.Errorf("protocol: descriptor without a name")
 	}
-	if d.Problem == "" || d.Topology == nil || d.Run == nil || (d.Validity == nil && d.Contract == nil) {
-		return fmt.Errorf("protocol: descriptor %q missing a required field (Problem, Topology, Run, and one of Validity or Contract)", d.Name)
+	if d.Problem == "" || d.Topology == nil || d.Run == nil || d.Contract == nil {
+		return fmt.Errorf("protocol: descriptor %q missing a required field (Problem, Topology, Run, Contract)", d.Name)
 	}
-	completeContract(d)
 	keys := append([]string{d.Name}, d.Aliases...)
 	registry.Lock()
 	defer registry.Unlock()
@@ -273,40 +250,44 @@ func Register(d *Descriptor) error {
 	return nil
 }
 
-// completeContract fills in the missing half of the property layer so
-// every registered descriptor exposes both Contract and Validity. A
-// legacy descriptor (Validity only) gets a bare terminating adapter —
-// violations keep their historical unlabeled text, and the liveness kind
-// follows the bound surface. A contract-first descriptor (Contract only)
-// gets Validity derived from Contract.Safety so every pre-contract call
-// site keeps working.
-func completeContract(d *Descriptor) {
-	if d.Contract == nil {
-		kind := contract.Convergence
-		if d.Bound != nil {
-			kind = contract.WaitFreeBounded
-		}
-		d.Contract = &contract.Terminating{
-			Name:  "coloring",
-			Props: []contract.Property{{Name: "validity", Check: d.Validity}},
-			Kind:  kind,
-			Bare:  true,
-		}
-		return
-	}
-	if d.Validity == nil {
-		d.Validity = d.Contract.Safety
-	}
-}
-
 // ContractLabel returns the contract name for verdict labels and report
-// headers, or "" for legacy bare adapters — callers omit the field then,
+// headers, or "" for bare contracts — callers omit the field then,
 // keeping pre-contract output byte-identical.
 func (d *Descriptor) ContractLabel() string {
-	if d.Contract == nil || !d.Contract.Labeled() {
+	if !d.Contract.Labeled() {
 		return ""
 	}
 	return d.Contract.ContractName()
+}
+
+// Verdict is one verdict line of a run: its label and the violation the
+// line found, nil when it holds.
+type Verdict struct {
+	Name string
+	Err  error
+}
+
+// Verdicts evaluates a run outcome property by property — the verdict
+// lines every run surface (colorcycle, colorserved run jobs, E22) reports.
+// Each contract property gives one line, labeled
+// "contract=<name> property=<prop>" unless the contract is bare; contracts
+// checked at termination add a "survivors terminated" line. Verdicts
+// stay meaningful on a cut-short run: the properties count only
+// terminated processes.
+func (d *Descriptor) Verdicts(g graph.Graph, r sim.Result) []Verdict {
+	c := d.Contract
+	var out []Verdict
+	for _, p := range c.Properties() {
+		name := p.Name
+		if c.Labeled() {
+			name = fmt.Sprintf("contract=%s property=%s", c.ContractName(), p.Name)
+		}
+		out = append(out, Verdict{Name: name, Err: p.Check(g, r)})
+	}
+	if c.TerminalPolicy() == contract.CheckAtTermination {
+		out = append(out, Verdict{Name: "survivors terminated", Err: check.SurvivorsTerminated(r)})
+	}
+	return out
 }
 
 // MustRegister is Register, panicking on error; builtin descriptors use it
@@ -363,12 +344,8 @@ func WriteList(w io.Writer) error {
 		if bound == "" {
 			bound = "—"
 		}
-		ct := "—"
-		if d.Contract != nil {
-			ct = d.Contract.ContractName()
-		}
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n",
-			d.Name, aliases, d.Problem, d.TopologyName, d.Palette, bound, ct, d.Capabilities())
+			d.Name, aliases, d.Problem, d.TopologyName, d.Palette, bound, d.Contract.ContractName(), d.Capabilities())
 	}
 	if err := tw.Flush(); err != nil {
 		return err

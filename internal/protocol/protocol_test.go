@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"asynccycle/internal/graph"
+	"asynccycle/internal/contract"
 	"asynccycle/internal/model"
 	"asynccycle/internal/runctl"
 	"asynccycle/internal/schedule"
@@ -44,7 +44,7 @@ func TestRegisterValidation(t *testing.T) {
 			Name:     "tmp-proto",
 			Problem:  "p",
 			Topology: cycleTopology,
-			Validity: func(graph.Graph, sim.Result) error { return nil },
+			Contract: bareContract("tmp", contract.Convergence),
 			Run: func([]int, RunOptions) (sim.Result, runctl.StopReason, error) {
 				return sim.Result{}, runctl.StopNone, nil
 			},
@@ -57,7 +57,7 @@ func TestRegisterValidation(t *testing.T) {
 		{"empty name", func(d *Descriptor) { d.Name = "" }},
 		{"no problem", func(d *Descriptor) { d.Problem = "" }},
 		{"no topology", func(d *Descriptor) { d.Topology = nil }},
-		{"no validity", func(d *Descriptor) { d.Validity = nil }},
+		{"no contract", func(d *Descriptor) { d.Contract = nil }},
 		{"no run", func(d *Descriptor) { d.Run = nil }},
 		{"duplicate of builtin", func(d *Descriptor) { d.Name = "five" }},
 		{"alias collides with builtin", func(d *Descriptor) { d.Aliases = []string{"alg2"} }},

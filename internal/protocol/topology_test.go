@@ -97,9 +97,9 @@ func TestWithTopologyRetargetClearsCycleSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range dd.Checks(g) {
-		if err := c.Check(res); err != nil {
-			t.Errorf("six on torus: %s: %v", c.Name, err)
+	for _, v := range dd.Verdicts(g, res) {
+		if v.Err != nil {
+			t.Errorf("six on torus: %s: %v", v.Name, v.Err)
 		}
 	}
 }

@@ -524,33 +524,13 @@ func (s *Server) executeRun(ctx context.Context, j *job) {
 			out.Colors[i] = -1
 		}
 	}
-	// Verdicts: on a PARTIAL run the validity predicates still hold for
+	// Verdicts: on a PARTIAL run the contract properties still hold for
 	// the terminated region (they count only terminated processes), so
-	// they are reported either way. Contract-first protocols report one
-	// labeled verdict per contract property.
-	if d.Contract != nil && d.Contract.Labeled() {
-		for _, p := range d.Contract.Properties() {
-			v := Verdict{Name: fmt.Sprintf("contract=%s property=%s", d.Contract.ContractName(), p.Name), OK: true}
-			if err := p.Check(g, res); err != nil {
-				v.OK = false
-				v.Error = err.Error()
-			}
-			out.Verdicts = append(out.Verdicts, v)
-		}
-	} else if d.Checks != nil {
-		for _, c := range d.Checks(g) {
-			v := Verdict{Name: c.Name, OK: true}
-			if err := c.Check(res); err != nil {
-				v.OK = false
-				v.Error = err.Error()
-			}
-			out.Verdicts = append(out.Verdicts, v)
-		}
-	} else if d.Validity != nil {
-		v := Verdict{Name: "validity", OK: true}
-		if err := d.Validity(g, res); err != nil {
-			v.OK = false
-			v.Error = err.Error()
+	// they are reported either way.
+	for _, pv := range d.Verdicts(g, res) {
+		v := Verdict{Name: pv.Name, OK: pv.Err == nil}
+		if pv.Err != nil {
+			v.Error = pv.Err.Error()
 		}
 		out.Verdicts = append(out.Verdicts, v)
 	}

@@ -222,10 +222,23 @@ func (s *Server) Submit(spec JobSpec) (*job, error) {
 		s.acceptMu.RUnlock()
 		return nil, ErrDraining
 	}
+	// The job is fully set up (ID assigned, counted in jobWG) before the
+	// send: an idle worker may dequeue, run, and Done it at once. The send
+	// never blocks, so holding mu across it keeps IDs gap-free when the
+	// shed branch hands its sequence number back.
+	s.mu.Lock()
+	s.seq++
+	j.id = fmt.Sprintf("j%06d", s.seq)
+	s.jobWG.Add(1)
 	select {
 	case s.queue <- j:
-		s.jobWG.Add(1)
+		s.jobs[j.id] = j
+		s.order = append(s.order, j.id)
+		s.mu.Unlock()
 	default:
+		s.seq--
+		s.mu.Unlock()
+		s.jobWG.Done()
 		s.acceptMu.RUnlock()
 		s.stats.Lock()
 		s.stats.shed++
@@ -234,12 +247,6 @@ func (s *Server) Submit(spec JobSpec) (*job, error) {
 	}
 	s.acceptMu.RUnlock()
 
-	s.mu.Lock()
-	s.seq++
-	j.id = fmt.Sprintf("j%06d", s.seq)
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.mu.Unlock()
 	s.stats.Lock()
 	s.stats.accepted++
 	s.stats.Unlock()

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"asynccycle/internal/contract"
 	"asynccycle/internal/graph"
 	"asynccycle/internal/metrics"
 	"asynccycle/internal/protocol"
@@ -31,7 +32,7 @@ func init() {
 		MinN:         3,
 		Palette:      "{0}",
 		Topology:     graph.Cycle,
-		Validity:     func(g graph.Graph, r sim.Result) error { return nil },
+		Contract:     &contract.Terminating{Name: "none", Bare: true},
 		Run: func(xs []int, o protocol.RunOptions) (sim.Result, runctl.StopReason, error) {
 			n := len(xs)
 			res := sim.Result{

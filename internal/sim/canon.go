@@ -58,8 +58,8 @@ func (e *Engine[V]) CanonicalFingerprintHash128() (h1, h2 uint64, rot, orbit int
 // CanonicalFingerprintInfo is the exact string-mode counterpart of
 // CanonicalFingerprintHash128: the lexicographically smallest rotated
 // fingerprint, its argmin rotation, and the exact rotation-orbit size.
-// It allocates (n string builds); the model checker only uses it under
-// Options.StringFingerprints or as the collision-resolution fallback.
+// It allocates (n string builds); the model checker only uses it as the
+// collision-resolution fallback.
 func (e *Engine[V]) CanonicalFingerprintInfo() (fp string, rot, orbit int) {
 	n := len(e.nodes)
 	fp = e.FingerprintRotated(0)
