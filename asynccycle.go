@@ -55,8 +55,14 @@ type Result = sim.Result
 // Scheduler decides which processes are activated at each time step. Use
 // the constructors in this package (Synchronous, RoundRobin, RandomSubset,
 // RandomOne, Alternating, Burst, Sleep) or implement the interface for a
-// custom adversary.
+// custom adversary: Next reads the execution through State and appends its
+// choice to the caller's buffer (see the Scheduler example).
 type Scheduler = schedule.Scheduler
+
+// State is a Scheduler's read-only view of an execution: the process
+// count, the step about to be scheduled, which processes are still working
+// (neither terminated nor crashed), and how many rounds each has taken.
+type State = schedule.State
 
 // Mode selects the semantics of multi-process activation sets: interleaved
 // (default; the standard asynchronous adversary) or simultaneous (the

@@ -21,6 +21,7 @@ import (
 	"asynccycle/internal/graph"
 	"asynccycle/internal/ids"
 	"asynccycle/internal/model"
+	"asynccycle/internal/runctl"
 	"asynccycle/internal/schedule"
 	"asynccycle/internal/sim"
 )
@@ -123,6 +124,35 @@ func BenchmarkFiveFullRun(b *testing.B) {
 		if _, err := e.Run(schedule.Synchronous{}, 100*n); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRunBudgetMaxActivations times a full Algorithm 2 run on C_20000
+// under round-robin(1), unbudgeted and with an activation budget the run
+// never reaches: the budget must cost nothing per step, because the run
+// loop keeps a running activation count instead of re-summing every
+// process's count.
+func BenchmarkRunBudgetMaxActivations(b *testing.B) {
+	const n = 20_000
+	g := graph.MustCycle(n)
+	xs := ids.MustGenerate(ids.Random, n, 1)
+	for _, bc := range []struct {
+		name   string
+		budget runctl.Budget
+	}{
+		{"unbudgeted", runctl.Budget{}},
+		{"unreachable", runctl.Budget{MaxActivations: n * n}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				e, _ := sim.NewEngine(g, core.NewFiveNodes(xs))
+				b.StartTimer()
+				if _, reason := e.RunBudget(nil, schedule.NewRoundRobin(1), bc.budget); reason != runctl.StopNone {
+					b.Fatalf("run stopped early: %s", reason)
+				}
+			}
+		})
 	}
 }
 

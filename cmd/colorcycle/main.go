@@ -115,13 +115,7 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	// Crash plan: deterministic in the seed, mirroring the historical CLI.
-	crashes := map[int]int{}
-	count := int(*crash * float64(g.N()))
-	for i := 0; i < count; i++ {
-		node := (i*7919 + int(*seed)) % g.N()
-		crashes[node] = i % 5
-	}
+	crashes := protocol.CrashPlan(*crash, g.N(), *seed)
 
 	verdict := func(res sim.Result) {
 		for _, v := range d.Verdicts(g, res) {
@@ -176,9 +170,9 @@ func run(args []string, w io.Writer) error {
 	return nil
 }
 
-// runBig executes on the struct-of-arrays engine: native zero-alloc
-// schedulers, incremental safety checking during the run, and optionally
-// the sharded parallel executor. The printed surface matches the
+// runBig executes on the struct-of-arrays engine: the same schedulers
+// read through its bitset frontier, incremental safety checking during
+// the run, and optionally the sharded parallel executor. The printed surface matches the
 // deterministic path so existing tooling parses both.
 func runBig(w io.Writer, d *protocol.Descriptor, xs []int, sched string, seed int64, workers int,
 	crashes map[int]int, g graph.Graph, verdict func(sim.Result)) error {

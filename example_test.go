@@ -84,6 +84,48 @@ func ExampleColorGraph() {
 	// (0,0) (0,1) (1,2) (0,0)
 }
 
+// soloRunner is a custom adversary: it always activates the working
+// process that has taken the most rounds (the lowest index on ties), so
+// each process runs solo until it returns while the others wait.
+type soloRunner struct{}
+
+func (soloRunner) Name() string { return "solo-runner" }
+
+func (soloRunner) Next(st asynccycle.State, buf []int) []int {
+	start := len(buf)
+	buf = st.AppendWorking(buf)
+	if len(buf) == start {
+		return buf
+	}
+	best := buf[start]
+	for _, i := range buf[start+1:] {
+		if st.Activations(i) > st.Activations(best) {
+			best = i
+		}
+	}
+	return append(buf[:start], best)
+}
+
+// A custom adversary plugs into every run through Config.Scheduler. Under
+// soloRunner each process runs alone until it returns, so the round count
+// of each is its solo running time; wait-freedom promises that every
+// process returns however long the others have been stopped.
+func ExampleScheduler() {
+	ids := []int{1, 2, 3, 4, 5, 6}
+	res, err := asynccycle.FastColorCycle(ids, &asynccycle.Config{Scheduler: soloRunner{}})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Println("colors:", res.Outputs)
+	fmt.Println("rounds:", res.Activations)
+	fmt.Println("proper:", asynccycle.VerifyCycleColoring(len(ids), res) == nil)
+	// Output:
+	// colors: [0 1 2 1 2 1]
+	// rounds: [1 2 2 2 2 2]
+	// proper: true
+}
+
 // Record an execution's schedule, serialize it, and replay it exactly —
 // useful for pinning adversarial executions in regression tests.
 func ExampleRecord() {

@@ -12,11 +12,6 @@ import (
 	"asynccycle/internal/sim"
 )
 
-// emptyStreak mirrors sim's tolerance for consecutive no-op steps before
-// the remaining processes are declared crashed. The two constants must
-// stay equal or the differential tests break.
-const emptyStreak = 2048
-
 // Engine drives one Kernel over the cycle with internal/sim's exact step
 // semantics: dedup + working-filter + ascending order, interleaved or
 // simultaneous phases, per-activation crash limits, and the empty-streak
@@ -43,6 +38,8 @@ type Engine struct {
 
 	perfBuf  []int32
 	schedBuf []int32
+	wrapBuf  []int  // a wrapped internal/schedule scheduler's choice
+	drv      driver // runctl.Drive's view of the current run
 
 	// res is the reusable Result storage: sized once per Reset, filled by
 	// Result(). Callers that retain a Result across Reset must copy it.
@@ -162,6 +159,19 @@ func (e *Engine) Working(i int) bool { return bitGet(e.work, i) }
 
 // Activations implements schedule.State.
 func (e *Engine) Activations(i int) int { return int(e.acts[i]) }
+
+// AppendWorking implements schedule.State, skipping whole empty bitset
+// words of the frontier.
+func (e *Engine) AppendWorking(buf []int) []int {
+	for w, word := range e.work {
+		base := w * 64
+		for word != 0 {
+			buf = append(buf, base+trailingZeros(word))
+			word &= word - 1
+		}
+	}
+	return buf
+}
 
 // Done reports whether process i terminated.
 func (e *Engine) Done(i int) bool { return bitGet(e.done, i) }
@@ -357,170 +367,90 @@ func (e *Engine) crashRemaining() {
 // error). Semantics mirror sim.Engine.Run, including the empty-streak
 // abandonment rule.
 func (e *Engine) Run(s Sched, maxSteps int64) error {
-	if bt, ok := s.(batcher); ok && bt.Batchable() {
-		return e.runBatched(bt, maxSteps, nil, runctl.Budget{})
+	reason, err := e.drive(nil, s, runctl.Budget{MaxSteps: int(maxSteps)})
+	if reason == runctl.StopMaxSteps {
+		return fmt.Errorf("%w: %d steps, scheduler %s", sim.ErrStepLimit, e.t, s.Name())
 	}
-	empties := 0
-	for !e.AllSettled() {
-		if e.t >= maxSteps {
-			return fmt.Errorf("%w: %d steps, scheduler %s", sim.ErrStepLimit, e.t, s.Name())
-		}
-		e.schedBuf = s.Next(e, e.schedBuf[:0])
-		performed := e.Step(e.schedBuf)
-		if e.checkErr != nil {
-			return e.checkErr
-		}
-		if performed == 0 {
-			empties++
-			if empties >= emptyStreak {
-				e.crashRemaining()
-			}
-		} else {
-			empties = 0
-		}
-	}
-	return nil
+	return err
 }
 
 // RunBudget is Run with run control: the execution stops early with a
 // non-empty StopReason when the context is done, the budget's Timeout
-// elapses (polled amortized — trips are detected within a few hundred
-// steps), or the step/activation budgets are reached. A safety violation
+// elapses (polled amortized — see runctl.Drive), or the step/activation
+// budgets are reached; a batched scheduler's last batch is trimmed so the
+// step and activation axes stop on their exact bound. A safety violation
 // found by the incremental checker is returned as the error alongside
 // StopNone.
 func (e *Engine) RunBudget(ctx context.Context, s Sched, b runctl.Budget) (runctl.StopReason, error) {
-	if bt, ok := s.(batcher); ok && bt.Batchable() {
-		err := e.runBatched(bt, 0, ctx, b)
-		if r := StopReasonOf(err); r != runctl.StopNone {
-			return r, nil
-		}
-		return runctl.StopNone, err
-	}
-	ck := runctl.NewChecker(ctx, b.Timeout)
-	start := e.total
-	empties := 0
-	for !e.AllSettled() {
-		if reason, stop := ck.Check(); stop {
-			return reason, nil
-		}
-		if b.MaxSteps > 0 && e.t >= int64(b.MaxSteps) {
-			return runctl.StopMaxSteps, nil
-		}
-		if b.MaxActivations > 0 && e.total-start >= int64(b.MaxActivations) {
-			return runctl.StopActivations, nil
-		}
-		e.schedBuf = s.Next(e, e.schedBuf[:0])
-		performed := e.Step(e.schedBuf)
-		if e.checkErr != nil {
-			return runctl.StopNone, e.checkErr
-		}
-		if performed == 0 {
-			empties++
-			if empties >= emptyStreak {
-				e.crashRemaining()
-			}
-		} else {
-			empties = 0
-		}
-	}
-	return runctl.StopNone, nil
+	return e.drive(ctx, s, b)
 }
 
-// runBatched executes a batch-decoding scheduler: the scheduler emits up
-// to cap(buf) singleton activations at once (each node at most once per
-// batch, so decode-time working status equals execution-time status) and
-// the engine replays them as individual steps without per-step dispatch.
-// maxSteps > 0 selects the Run contract, otherwise the budget contract.
-func (e *Engine) runBatched(bt batcher, maxSteps int64, ctx context.Context, b runctl.Budget) error {
-	ck := runctl.NewChecker(ctx, b.Timeout)
-	start := e.total
-	empties := 0
-	for !e.AllSettled() {
-		if maxSteps > 0 && e.t >= maxSteps {
-			return fmt.Errorf("%w: %d steps, scheduler %s", sim.ErrStepLimit, e.t, bt.(Sched).Name())
-		}
-		if reason, stop := ck.CheckNow(); stop {
-			return &budgetStop{reason}
-		}
-		if b.MaxSteps > 0 && e.t >= int64(b.MaxSteps) {
-			return &budgetStop{runctl.StopMaxSteps}
-		}
-		if b.MaxActivations > 0 && e.total-start >= int64(b.MaxActivations) {
-			return &budgetStop{runctl.StopActivations}
-		}
-		buf := e.schedBuf[:0]
-		limit := cap(e.schedBuf)
-		if maxSteps > 0 {
-			if rem := maxSteps - e.t; rem < int64(limit) {
-				limit = int(rem)
-			}
-		}
-		if b.MaxSteps > 0 {
-			if rem := int64(b.MaxSteps) - e.t; rem < int64(limit) {
-				limit = int(rem)
-			}
-		}
-		if b.MaxActivations > 0 {
-			if rem := int64(b.MaxActivations) - (e.total - start); rem < int64(limit) {
-				limit = int(rem)
-			}
-		}
-		batch := bt.NextBatch(e, buf[:0:limit])
-		if len(batch) == 0 {
-			// A batch decoder emits every working node reachable in one
-			// sweep; an empty batch with working nodes cannot happen for
-			// the built-in batchers, but degrade gracefully to the
-			// empty-step rule if it does.
-			if e.AllSettled() {
-				return nil
-			}
-			e.t++
-			empties++
-			if empties >= emptyStreak {
-				e.crashRemaining()
-			}
+func (e *Engine) drive(ctx context.Context, s Sched, b runctl.Budget) (runctl.StopReason, error) {
+	rr, _ := s.(*rr1)
+	e.drv = driver{e: e, s: s, rr: rr}
+	reason, err := runctl.Drive(ctx, b, &e.drv)
+	e.drv = driver{} // do not keep the scheduler alive past its run
+	return reason, err
+}
+
+// driver binds the engine to the scheduler of one run for runctl.Drive.
+// The engine embeds it, so starting a run allocates nothing.
+type driver struct {
+	e  *Engine
+	s  Sched
+	rr *rr1 // non-nil when s decodes in batches
+}
+
+func (d *driver) AllSettled() bool { return d.e.nWork == 0 }
+func (d *driver) Steps() int64     { return d.e.t }
+func (d *driver) Abandon()         { d.e.crashRemaining() }
+
+func (d *driver) Advance(limit int64) (int, error) {
+	e := d.e
+	if d.rr != nil {
+		return e.stepBatch(d.rr, limit)
+	}
+	e.schedBuf = d.s.Next(e, e.schedBuf[:0])
+	return e.Step(e.schedBuf), e.checkErr
+}
+
+// stepBatch decodes up to limit singleton activations at once and replays
+// them as individual steps (see rr1). An empty batch is one empty step.
+func (e *Engine) stepBatch(rr *rr1, limit int64) (int, error) {
+	buf := e.schedBuf[:0]
+	if limit < int64(cap(buf)) {
+		buf = buf[:0:limit]
+	}
+	batch := rr.NextBatch(e, buf)
+	if len(batch) == 0 {
+		e.t++
+		return 0, nil
+	}
+	performed := 0
+	for _, i := range batch {
+		e.t++
+		if !bitGet(e.work, int(i)) {
 			continue
 		}
-		empties = 0
-		for _, i := range batch {
-			e.t++
-			if !bitGet(e.work, int(i)) {
-				continue
-			}
-			var done bool
-			var out int32
-			if e.mode == sim.ModeSimultaneous {
-				e.k.Publish(i)
-				done, out = e.k.Observe(i)
-			} else {
-				done, out = e.k.Round(i)
-			}
-			e.account(i, done, out)
-			if e.checkErr != nil {
-				return e.checkErr
-			}
+		var done bool
+		var out int32
+		if e.mode == sim.ModeSimultaneous {
+			e.k.Publish(i)
+			done, out = e.k.Observe(i)
+		} else {
+			done, out = e.k.Round(i)
 		}
-		if e.met != nil {
-			e.met.Steps.Add(int64(len(batch)))
-			e.met.Activations.Add(int64(len(batch)))
+		e.account(i, done, out)
+		performed++
+		if e.checkErr != nil {
+			return performed, e.checkErr
 		}
 	}
-	return nil
-}
-
-// budgetStop carries a StopReason through runBatched's single error
-// return; RunBudget unwraps it.
-type budgetStop struct{ reason runctl.StopReason }
-
-func (b *budgetStop) Error() string { return "bigsim: stopped by budget: " + string(b.reason) }
-
-// StopReasonOf extracts the StopReason from an error returned by a
-// budgeted run (StopNone for nil or non-budget errors).
-func StopReasonOf(err error) runctl.StopReason {
-	if bs, ok := err.(*budgetStop); ok {
-		return bs.reason
+	if e.met != nil {
+		e.met.Steps.Add(int64(len(batch)))
+		e.met.Activations.Add(int64(len(batch)))
 	}
-	return runctl.StopNone
+	return performed, nil
 }
 
 // --- results --------------------------------------------------------------

@@ -177,8 +177,8 @@ func TestEmptyStreak(t *testing.T) {
 	if err := e.Run(emptySched{}, 1<<20); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if e.Steps() != emptyStreak {
-		t.Fatalf("steps = %d, want %d", e.Steps(), emptyStreak)
+	if e.Steps() != runctl.EmptyStreak {
+		t.Fatalf("steps = %d, want %d", e.Steps(), runctl.EmptyStreak)
 	}
 	s := e.Summarize()
 	if s.Crashed != 16 || s.Terminated != 0 {

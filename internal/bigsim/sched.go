@@ -1,7 +1,6 @@
 package bigsim
 
 import (
-	"fmt"
 	"math/rand"
 
 	"asynccycle/internal/schedule"
@@ -9,32 +8,23 @@ import (
 
 // Sched produces activation sets for the big engine without allocating on
 // the warm path: Next appends into buf (the engine's reusable decode
-// buffer) and returns the extended slice. Every native scheduler
-// reproduces the decision sequence of its internal/schedule counterpart
-// exactly — same choices, same random-stream consumption — so a bigsim run
-// and a sim run under same-family, same-seed schedulers are byte-identical
-// (pinned by the differential tests).
+// buffer) and returns the extended slice. The scheduler families are
+// internal/schedule's own, adapted by Wrap; only two keep a native
+// implementation, because the frontier makes them cheaper — round-robin(1)
+// decodes whole sweeps at once, and random-one selects its node by
+// popcount. Both consume the same decision streams as their
+// internal/schedule counterparts, so a bigsim run and a sim run under
+// same-family, same-seed schedulers are byte-identical (pinned by the
+// differential tests).
 type Sched interface {
 	Name() string
 	Next(e *Engine, buf []int32) []int32
 }
 
-// batcher is the optional batched-decoding extension: NextBatch appends up
-// to cap(buf) singleton activations — each node at most once per batch —
-// letting the engine replay them as individual steps without per-step
-// dispatch. Legal exactly because a node's working status changes only by
-// its own activation: with each node named at most once, decode-time
-// status equals execution-time status. Batchable gates the path: it must
-// report true only when the scheduler's current configuration emits
-// singleton steps (a multi-node step cannot be replayed as singletons).
-type batcher interface {
-	Batchable() bool
-	NextBatch(e *Engine, buf []int32) []int32
-}
-
-// Wrap adapts any internal/schedule scheduler to the big engine (the
-// engine implements schedule.State). The adapter allocates whatever the
-// wrapped scheduler allocates; use the native schedulers for warm paths.
+// Wrap adapts an internal/schedule scheduler to the big engine (the engine
+// implements schedule.State). The choice lands in a buffer the engine
+// keeps across runs, so a warm run allocates only what the wrapped
+// scheduler allocates.
 func Wrap(s schedule.Scheduler) Sched { return &wrapped{s} }
 
 type wrapped struct{ s schedule.Scheduler }
@@ -42,73 +32,68 @@ type wrapped struct{ s schedule.Scheduler }
 func (w *wrapped) Name() string { return w.s.Name() }
 
 func (w *wrapped) Next(e *Engine, buf []int32) []int32 {
-	for _, i := range w.s.Next(e) {
+	e.wrapBuf = w.s.Next(e, e.wrapBuf[:0])
+	for _, i := range e.wrapBuf {
 		buf = append(buf, int32(i))
 	}
 	return buf
 }
 
-// appendWorking appends the working nodes in ascending order, skipping
-// whole empty bitset words.
-func (e *Engine) appendWorking(buf []int32) []int32 {
-	for w, word := range e.work {
-		base := int32(w * 64)
-		for word != 0 {
-			buf = append(buf, base+int32(trailingZeros(word)))
-			word &= word - 1
-		}
-	}
-	return buf
-}
-
-// Sync activates every working process at every step — the frontier makes
-// this O(working) instead of O(n) per step.
-type Sync struct{}
-
 // NewSync returns the synchronous scheduler.
-func NewSync() Sync { return Sync{} }
+func NewSync() Sched { return Wrap(schedule.Synchronous{}) }
 
-// Name implements Sched.
-func (Sync) Name() string { return "synchronous" }
-
-// Next implements Sched.
-func (Sync) Next(e *Engine, buf []int32) []int32 { return e.appendWorking(buf) }
-
-// RR activates Width working processes per step, cycling through indices —
-// the exact decision sequence of schedule.RoundRobin. Width 1 additionally
-// supports batched decoding: one batch is one cyclic sweep of the working
-// set, each node at most once.
-type RR struct {
-	Width int
-	next  int32
-}
-
-// NewRR returns a round-robin scheduler of the given width (≥ 1).
-func NewRR(width int) *RR {
-	if width < 1 {
-		width = 1
+// NewRR returns a round-robin scheduler of the given width (≥ 1). Width 1
+// is native and decodes in batches: one batch is one cyclic sweep of the
+// working set, each node at most once.
+func NewRR(width int) Sched {
+	if width <= 1 {
+		return &rr1{}
 	}
-	return &RR{Width: width}
+	return Wrap(schedule.NewRoundRobin(width))
 }
 
-// Name implements Sched.
-func (r *RR) Name() string { return fmt.Sprintf("round-robin(%d)", r.Width) }
+// NewAlt returns the alternating scheduler.
+func NewAlt() Sched { return Wrap(schedule.Alternating{}) }
 
-// Next implements Sched.
-func (r *RR) Next(e *Engine, buf []int32) []int32 {
+// NewBurst returns a burst scheduler giving each process k ≥ 1
+// consecutive solo steps.
+func NewBurst(k int) Sched { return Wrap(schedule.NewBurst(k)) }
+
+// NewRandomSubset returns a random-subset scheduler with inclusion
+// probability p (clamped to (0, 1]) and the given seed.
+func NewRandomSubset(p float64, seed int64) Sched { return Wrap(schedule.NewRandomSubset(p, seed)) }
+
+// rr1 is schedule.RoundRobin of width 1 with batched decoding: NextBatch
+// appends up to cap(buf) singleton activations — each node at most once
+// per batch — and the engine replays them as individual steps without
+// per-step dispatch. Legal exactly because a node's working status changes
+// only by its own activation: with each node named at most once,
+// decode-time status equals execution-time status.
+type rr1 struct{ next int32 }
+
+func (r *rr1) Name() string { return "round-robin(1)" }
+
+// Next chooses the next working node in cyclic order: a batch of one.
+func (r *rr1) Next(e *Engine, buf []int32) []int32 {
+	start := len(buf)
+	return r.NextBatch(e, append(buf, 0)[:start:start+1])
+}
+
+// NextBatch decodes one cyclic sweep of the working set, up to cap(buf)
+// singleton choices at once.
+func (r *rr1) NextBatch(e *Engine, buf []int32) []int32 {
 	n := int32(e.n)
-	found := 0
-	for scanned := int32(0); scanned < n && found < r.Width; scanned++ {
+	start := len(buf)
+	for scanned := int32(0); scanned < n && len(buf) < cap(buf); scanned++ {
 		i := r.next + scanned
 		if i >= n {
 			i -= n
 		}
 		if bitGet(e.work, int(i)) {
 			buf = append(buf, i)
-			found++
 		}
 	}
-	if found > 0 {
+	if len(buf) > start {
 		r.next = buf[len(buf)-1] + 1
 		if r.next >= n {
 			r.next = 0
@@ -117,169 +102,21 @@ func (r *RR) Next(e *Engine, buf []int32) []int32 {
 	return buf
 }
 
-// Batchable implements batcher: only the width-1 configuration emits
-// singleton steps.
-func (r *RR) Batchable() bool { return r.Width == 1 }
-
-// NextBatch implements batcher for Width == 1: one cyclic sweep of the
-// working set, up to cap(buf) singleton choices decoded at once.
-func (r *RR) NextBatch(e *Engine, buf []int32) []int32 {
-	n := int32(e.n)
-	cursor := r.next
-	for scanned := int32(0); scanned < n && len(buf) < cap(buf); scanned++ {
-		i := cursor + scanned
-		if i >= n {
-			i -= n
-		}
-		if bitGet(e.work, int(i)) {
-			buf = append(buf, i)
-		}
-	}
-	if len(buf) > 0 {
-		r.next = buf[len(buf)-1] + 1
-		if r.next >= n {
-			r.next = 0
-		}
-	}
-	return buf
-}
-
-// Alt alternates the even- and odd-index classes, mirroring
-// schedule.Alternating (including the fallback to everyone when the
-// scheduled class is empty).
-type Alt struct{}
-
-// NewAlt returns the alternating scheduler.
-func NewAlt() Alt { return Alt{} }
-
-// Name implements Sched.
-func (Alt) Name() string { return "alternating" }
-
-// Next implements Sched.
-func (Alt) Next(e *Engine, buf []int32) []int32 {
-	parity := int32(e.Time() % 2)
-	start := len(buf)
-	for w, word := range e.work {
-		base := int32(w * 64)
-		for word != 0 {
-			i := base + int32(trailingZeros(word))
-			word &= word - 1
-			if i%2 != parity {
-				buf = append(buf, i)
-			}
-		}
-	}
-	if len(buf) == start {
-		buf = e.appendWorking(buf)
-	}
-	return buf
-}
-
-// BurstSched activates one process K times in a row before moving on —
-// the exact decision sequence of schedule.Burst.
-type BurstSched struct {
-	K       int
-	current int32
-	fired   int
-}
-
-// NewBurst returns a burst scheduler giving each process k ≥ 1
-// consecutive solo steps.
-func NewBurst(k int) *BurstSched {
-	if k < 1 {
-		k = 1
-	}
-	return &BurstSched{K: k}
-}
-
-// Name implements Sched.
-func (b *BurstSched) Name() string { return fmt.Sprintf("burst(%d)", b.K) }
-
-// Next implements Sched.
-func (b *BurstSched) Next(e *Engine, buf []int32) []int32 {
-	n := int32(e.n)
-	for scanned := int32(0); scanned <= n; scanned++ {
-		i := b.current + scanned
-		for i >= n {
-			i -= n
-		}
-		if !bitGet(e.work, int(i)) {
-			continue
-		}
-		if i != b.current {
-			b.current = i
-			b.fired = 0
-		}
-		b.fired++
-		if b.fired >= b.K {
-			b.current = i + 1
-			if b.current >= n {
-				b.current = 0
-			}
-			b.fired = 0
-		}
-		return append(buf, i)
-	}
-	return buf
-}
-
-// RandomSubset independently activates each working process with
-// probability P, always including at least one — same stream consumption
-// as schedule.RandomSubset (one Float64 per working process, plus one Intn
-// when the draw comes up empty), so same seed ⇒ same schedule.
-type RandomSubset struct {
-	P       float64
-	rng     *rand.Rand
-	workBuf []int32
-}
-
-// NewRandomSubset returns a random-subset scheduler with inclusion
-// probability p (clamped to (0, 1]) and the given seed.
-func NewRandomSubset(p float64, seed int64) *RandomSubset {
-	if p <= 0 {
-		p = 0.5
-	}
-	if p > 1 {
-		p = 1
-	}
-	return &RandomSubset{P: p, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Name implements Sched.
-func (s *RandomSubset) Name() string { return fmt.Sprintf("random-subset(p=%.2f)", s.P) }
-
-// Next implements Sched.
-func (s *RandomSubset) Next(e *Engine, buf []int32) []int32 {
-	s.workBuf = e.appendWorking(s.workBuf[:0])
-	start := len(buf)
-	for _, i := range s.workBuf {
-		if s.rng.Float64() < s.P {
-			buf = append(buf, i)
-		}
-	}
-	if len(buf) == start && len(s.workBuf) > 0 {
-		buf = append(buf, s.workBuf[s.rng.Intn(len(s.workBuf))])
-	}
-	return buf
-}
-
-// RandomOne activates a single uniformly random working process per step,
+// randomOne activates a single uniformly random working process per step,
 // with schedule.RandomOne's exact stream consumption (one Intn per step
-// with a working process).
-type RandomOne struct {
+// with a working process), selecting the node by popcount.
+type randomOne struct {
 	rng *rand.Rand
 }
 
 // NewRandomOne returns a random-one scheduler with the given seed.
-func NewRandomOne(seed int64) *RandomOne {
-	return &RandomOne{rng: rand.New(rand.NewSource(seed))}
+func NewRandomOne(seed int64) Sched {
+	return &randomOne{rng: rand.New(rand.NewSource(seed))}
 }
 
-// Name implements Sched.
-func (s *RandomOne) Name() string { return "random-one" }
+func (s *randomOne) Name() string { return "random-one" }
 
-// Next implements Sched.
-func (s *RandomOne) Next(e *Engine, buf []int32) []int32 {
+func (s *randomOne) Next(e *Engine, buf []int32) []int32 {
 	if e.nWork == 0 {
 		return buf
 	}
@@ -300,24 +137,19 @@ func (s *RandomOne) Next(e *Engine, buf []int32) []int32 {
 	return buf
 }
 
-// ParseSched resolves a native scheduler family by the short name the
-// CLIs and the job server share — the same names, seeds, and parameters
-// as schedule.Parse, decision-stream-identical to the generic families.
+// ParseSched resolves a scheduler family by the short name the CLIs and
+// the job server share — the same names, seeds, and parameters as
+// schedule.Parse.
 func ParseSched(name string, seed int64) (Sched, error) {
 	switch name {
-	case "sync":
-		return NewSync(), nil
 	case "rr":
 		return NewRR(1), nil
-	case "random":
-		return NewRandomSubset(0.4, seed), nil
 	case "one":
 		return NewRandomOne(seed), nil
-	case "alt":
-		return NewAlt(), nil
-	case "burst":
-		return NewBurst(4), nil
-	default:
-		return nil, fmt.Errorf("unknown scheduler %q", name)
 	}
+	s, err := schedule.Parse(name, seed)
+	if err != nil {
+		return nil, err
+	}
+	return Wrap(s), nil
 }

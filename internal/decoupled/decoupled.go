@@ -19,11 +19,13 @@
 package decoupled
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
 
 	"asynccycle/internal/graph"
+	"asynccycle/internal/runctl"
 	"asynccycle/internal/schedule"
 )
 
@@ -142,6 +144,16 @@ func (e *Engine[V]) Working(i int) bool { return !e.done[i] && !e.crashed[i] }
 // Activations implements schedule.State.
 func (e *Engine[V]) Activations(i int) int { return e.acts[i] }
 
+// AppendWorking implements schedule.State.
+func (e *Engine[V]) AppendWorking(buf []int) []int {
+	for i := range e.done {
+		if e.Working(i) {
+			buf = append(buf, i)
+		}
+	}
+	return buf
+}
+
 var _ schedule.State = (*Engine[int])(nil)
 
 // Tick advances the network one synchronous round — delivering every
@@ -193,32 +205,49 @@ func neighborSlot(g graph.Graph, v, u int) int {
 	return -1
 }
 
-// Run drives the engine until every process settles or maxTicks elapse.
-// Several consecutive ticks without any process step crash the remaining
-// processes, as in the state model.
+// Run drives the engine until every process settles or maxTicks elapse
+// (returning ErrStepLimit along with the partial result). As in the state
+// model, runctl.EmptyStreak consecutive ticks without any process step
+// crash the remaining processes.
 func (e *Engine[V]) Run(s schedule.Scheduler, maxTicks int) (Result, error) {
-	empties := 0
-	for !e.allSettled() {
-		if e.tick >= maxTicks {
-			return e.result(), fmt.Errorf("%w: %d ticks, scheduler %s", ErrStepLimit, e.tick, s.Name())
-		}
-		if performed := e.Tick(s.Next(e)); len(performed) == 0 {
-			empties++
-			// As in the state-model engine, sustained idling is treated as
-			// the adversary abandoning the remaining processes; the
-			// tolerance leaves room for deliberate sleep phases.
-			if empties >= 2048 {
-				for i := range e.crashed {
-					if e.Working(i) {
-						e.crashed[i] = true
-					}
-				}
-			}
-		} else {
-			empties = 0
+	res, reason := e.RunBudget(nil, s, runctl.Budget{MaxSteps: maxTicks})
+	if reason == runctl.StopMaxSteps {
+		return res, fmt.Errorf("%w: %d ticks, scheduler %s", ErrStepLimit, e.tick, s.Name())
+	}
+	return res, nil
+}
+
+// RunBudget is Run with run control (runctl.Drive): it stops early with a
+// non-empty StopReason when ctx is done, the budget's Timeout elapses, the
+// tick count reaches b.MaxSteps — the network clock is part of the model,
+// so the step axis bounds communication rounds — or the process steps
+// taken reach b.MaxActivations.
+func (e *Engine[V]) RunBudget(ctx context.Context, s schedule.Scheduler, b runctl.Budget) (Result, runctl.StopReason) {
+	reason, _ := runctl.Drive(ctx, b, &driver[V]{e: e, s: s})
+	return e.result(), reason
+}
+
+// driver binds an engine to the scheduler of one run for runctl.Drive.
+type driver[V any] struct {
+	e   *Engine[V]
+	s   schedule.Scheduler
+	buf []int
+}
+
+func (d *driver[V]) AllSettled() bool { return d.e.allSettled() }
+func (d *driver[V]) Steps() int64     { return int64(d.e.tick) }
+
+func (d *driver[V]) Advance(int64) (int, error) {
+	d.buf = d.s.Next(d.e, d.buf[:0])
+	return len(d.e.Tick(d.buf)), nil
+}
+
+func (d *driver[V]) Abandon() {
+	for i := range d.e.crashed {
+		if d.e.Working(i) {
+			d.e.crashed[i] = true
 		}
 	}
-	return e.result(), nil
 }
 
 func (e *Engine[V]) allSettled() bool {

@@ -11,7 +11,6 @@ import (
 	"asynccycle/internal/graph"
 	"asynccycle/internal/ids"
 	"asynccycle/internal/locale"
-	"asynccycle/internal/mis"
 	"asynccycle/internal/model"
 	"asynccycle/internal/protocol"
 	"asynccycle/internal/renaming"
@@ -506,16 +505,11 @@ func E7MISImpossibility(o Options) *Table {
 		cells = append(cells, cell{n: n, greedy: true}, cell{n: n})
 	}
 	results, done := mapCells(o, t, cells, func(_ int, c cell) model.Report {
-		g := graph.MustCycle(c.n)
-		xs := ids.MustGenerate(ids.Increasing, c.n, 0)
-		var nodes []sim.Node[mis.Val]
+		alg := "mis-impatient"
 		if c.greedy {
-			nodes = mis.NewGreedyNodes(xs)
-		} else {
-			nodes = mis.NewImpatientNodes(xs, 2)
+			alg = "mis-greedy"
 		}
-		e, _ := sim.NewEngine(g, nodes)
-		return model.Explore(e, model.Options{SingletonsOnly: true}, misInvariant(g))
+		return registryCheck(alg, ids.MustGenerate(ids.Increasing, c.n, 0))
 	})
 	for i, c := range cells {
 		if !done[i] {
@@ -533,14 +527,24 @@ func E7MISImpossibility(o Options) *Table {
 	return t
 }
 
-func misInvariant(g graph.Graph) model.Invariant[mis.Val] {
-	return func(e *sim.Engine[mis.Val]) error {
-		r := e.Result()
-		if v := mis.ViolatesMIS(g.Edges(), g.N(), r.Outputs, r.Done); v != "" {
-			return fmt.Errorf("%s", v)
-		}
-		return nil
+// builtin returns a registered built-in protocol; the experiments name
+// only those, so a failed lookup is a programming error.
+func builtin(name string) *protocol.Descriptor {
+	d, err := protocol.Lookup(name)
+	if err != nil {
+		panic(err)
 	}
+	return d
+}
+
+// registryCheck exhaustively checks a registered protocol over every
+// interleaved singleton schedule against its own contract.
+func registryCheck(alg string, xs []int) model.Report {
+	rep, err := builtin(alg).Check(xs, sim.ModeInterleaved, model.Options{SingletonsOnly: true})
+	if err != nil {
+		panic(err)
+	}
+	return rep
 }
 
 // E8PaletteTightness exhaustively explores Algorithm 2 on small cycles and
@@ -561,6 +565,7 @@ func E8PaletteTightness(o Options) *Table {
 		maxColor int
 	}
 	sizes := []int{3, 4, 5}
+	five := builtin("five")
 	results, done := mapCells(o, t, sizes, func(_ int, n int) result {
 		g := graph.MustCycle(n)
 		xs := ids.MustGenerate(ids.Increasing, n, 0)
@@ -572,10 +577,7 @@ func E8PaletteTightness(o Options) *Table {
 					maxColor = out
 				}
 			}
-			if err := check.ProperColoring(g, r); err != nil {
-				return err
-			}
-			return check.PaletteRange(r, 5)
+			return five.Contract.Safety(g, r)
 		}
 		e, _ := sim.NewEngine(g, core.NewFiveNodes(xs))
 		rep := model.Explore(e, model.Options{SingletonsOnly: true}, inv)
@@ -813,8 +815,7 @@ func E11Renaming(o Options) *Table {
 		}
 		xs := ids.MustGenerate(ids.Random, c.n, cellSeed(o.seed(), "E11", c.n))
 		if c.exact {
-			e, _ := sim.NewEngine(g, renaming.NewNodes(xs))
-			rep := model.Explore(e, model.Options{SingletonsOnly: true}, renamingInvariant(c.n))
+			rep := registryCheck("renaming", xs)
 			return result{exhaustive: fmt.Sprintf("ok=%t states=%d", rep.Ok(), rep.States)}
 		}
 		seed := cellSeed(o.seed(), "E11", c.n, c.spec.name)
@@ -873,26 +874,6 @@ func E11Renaming(o Options) *Table {
 	}
 	t.AddNote("paper: §1.1/§1.3 — (2n−1)-renaming is wait-free solvable [3]; names never exceed 2n−2 (0-based)")
 	return t
-}
-
-func renamingInvariant(n int) model.Invariant[renaming.Val] {
-	return func(e *sim.Engine[renaming.Val]) error {
-		r := e.Result()
-		seen := map[int]int{}
-		for i, out := range r.Outputs {
-			if !r.Done[i] {
-				continue
-			}
-			if out < 0 || out > renaming.MaxName(n) {
-				return fmt.Errorf("name %d outside {0..%d}", out, renaming.MaxName(n))
-			}
-			if j, dup := seen[out]; dup {
-				return fmt.Errorf("processes %d and %d both named %d", j, i, out)
-			}
-			seen[out] = i
-		}
-		return nil
-	}
 }
 
 // E12IdentifierInvariant checks Lemma 4.5 on live executions: throughout

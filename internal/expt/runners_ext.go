@@ -13,7 +13,6 @@ import (
 	"asynccycle/internal/model"
 	"asynccycle/internal/schedule"
 	"asynccycle/internal/sim"
-	"asynccycle/internal/ssb"
 )
 
 // E14Decoupled reproduces the separation from the DECOUPLED related work
@@ -122,50 +121,27 @@ func E15SSBReduction(o Options) *Table {
 		n      int
 		greedy bool
 	}
-	type result struct {
-		rep  model.Report
-		note string
-	}
 	var cells []cell
 	for _, n := range sizes {
 		cells = append(cells, cell{n: n, greedy: true}, cell{n: n})
 	}
-	results, done := mapCells(o, t, cells, func(_ int, c cell) result {
-		gK, err := graph.Complete(c.n)
-		if err != nil {
-			return result{note: fmt.Sprintf("n=%d: %v", c.n, err)}
-		}
-		xs := ids.MustGenerate(ids.Increasing, c.n, 0)
-		inv := func(e *sim.Engine[mis.Val]) error {
-			r := e.Result()
-			if v := ssb.Check(r.Outputs, r.Done); v != "" {
-				return fmt.Errorf("%s", v)
-			}
-			return nil
-		}
-		var nodes []sim.Node[mis.Val]
+	results, done := mapCells(o, t, cells, func(_ int, c cell) model.Report {
+		alg := "ssb-impatient"
 		if c.greedy {
-			nodes = mis.NewGreedyNodes(xs)
-		} else {
-			nodes = mis.NewImpatientNodes(xs, 2)
+			alg = "ssb-greedy"
 		}
-		e, _ := sim.NewEngine(gK, ssb.WrapCycle(nodes))
-		return result{rep: model.Explore(e, model.Options{SingletonsOnly: true}, inv)}
+		return registryCheck(alg, ids.MustGenerate(ids.Increasing, c.n, 0))
 	})
 	for i, c := range cells {
 		if !done[i] {
 			continue
 		}
-		r := results[i]
-		if r.note != "" {
-			t.AddNote("%s", r.note)
-			continue
-		}
+		rep := results[i]
 		label := "impatient(2)"
 		if c.greedy {
 			label = "greedy"
 		}
-		t.AddRow(label, c.n, r.rep.States, !r.rep.CycleFound, len(r.rep.Violations) == 0)
+		t.AddRow(label, c.n, rep.States, !rep.CycleFound, len(rep.Violations) == 0)
 	}
 	t.AddNote("no candidate is simultaneously wait-free and SSB-correct — exactly what the impossibility [6] mandates")
 	return t
@@ -378,38 +354,18 @@ func E18SymmetrySweep(o Options) *Table {
 	if !o.Quick {
 		sizes = append(sizes, 5)
 	}
-	inv := func(n int) model.Invariant[core.FiveVal] {
-		return func(e *sim.Engine[core.FiveVal]) error {
-			for i := 0; i < n; i++ {
-				if !e.Done(i) {
-					continue
-				}
-				c := e.Output(i)
-				if c < 0 || c >= 5 {
-					return fmt.Errorf("color %d outside the 5-palette", c)
-				}
-				if j := (i + 1) % n; e.Done(j) && e.Output(j) == c {
-					return fmt.Errorf("monochromatic edge")
-				}
-			}
-			return nil
-		}
-	}
+	five := builtin("five")
 	for _, n := range sizes {
-		n := n
-		mk := func(xs []int) (*sim.Engine[core.FiveVal], error) {
-			return sim.NewEngine(graph.MustCycle(n), core.NewFiveNodes(xs))
-		}
 		var off model.SweepReport
 		var offWorst model.SweepReport
 		for _, sym := range []model.Symmetry{model.SymmetryOff, model.SymmetryAssignments, model.SymmetryFull} {
 			opt := model.Options{SingletonsOnly: true, Symmetry: sym, Context: o.Context}
-			rep, err := model.SweepExplore(n, mk, opt, inv(n))
+			rep, err := five.Sweep(n, sim.ModeInterleaved, opt)
 			if err != nil {
 				t.AddNote("C%d %s sweep failed: %v", n, sym, err)
 				continue
 			}
-			worst, err := model.SweepWorstActivations(n, mk, opt)
+			worst, err := five.SweepWorst(n, sim.ModeInterleaved, opt)
 			if err != nil {
 				t.AddNote("C%d %s worst sweep failed: %v", n, sym, err)
 				continue

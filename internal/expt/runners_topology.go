@@ -87,12 +87,9 @@ func E22DeltaPlusOne(o Options) *Table {
 		}
 		seed := cellSeed(o.seed(), "E22", c.c.spec, n, c.sp.name)
 		xs := ids.MustGenerate(ids.Random, n, seed)
-		// The adversarial crash plan mirrors the colorcycle CLI: ~20% of
-		// the processes freeze after a few of their own rounds.
-		crashes := map[int]int{}
-		for i := 0; i < n/5; i++ {
-			crashes[(i*7919+int(seed))%n] = i % 5
-		}
+		// The colorcycle CLI's crash plan: 20% of the processes freeze
+		// after a few of their own rounds.
+		crashes := protocol.CrashPlan(0.2, n, seed)
 		res, _, err := d.Run(xs, protocol.RunOptions{
 			Scheduler: c.sp.mk(seed),
 			Crashes:   crashes,

@@ -404,8 +404,10 @@ func runCell(cfg Config, cell int, d *protocol.Descriptor) cellResult {
 	e := newInstance(d, xs, cfg.Mode, crashes)
 	rec := schedule.NewRecording(newGen(rng, capB))
 	vioKind, vioDetail := "", ""
+	var set []int
 	for t := 0; !e.AllSettled() && t < maxSteps; t++ {
-		e.Step(rec.Next(e))
+		set = rec.Next(e, set[:0])
+		e.Step(set)
 		if bound > 0 {
 			if i := overBound(e, n, bound); i >= 0 {
 				vioKind = "liveness"

@@ -47,7 +47,7 @@ func TestGenDeterministic(t *testing.T) {
 		e := newTypedEngine(g, core.NewFiveNodes(xs), sim.ModeInterleaved, nil)
 		rec := schedule.NewRecording(newGen(rand.New(rand.NewSource(99)), Bound("five", 7)))
 		for t := 0; !e.AllSettled() && t < 10_000; t++ {
-			e.Step(rec.Next(e))
+			e.Step(rec.Next(e, nil))
 		}
 		return rec.Steps()
 	}
@@ -68,7 +68,7 @@ func TestGenNeverEmptyWhileWorking(t *testing.T) {
 	e := newTypedEngine(g, core.NewFastNodes(xs), sim.ModeInterleaved, nil)
 	gen := newGen(rand.New(rand.NewSource(4)), Bound("fast", 9))
 	for t2 := 0; !e.AllSettled() && t2 < 5_000; t2++ {
-		set := gen.Next(e)
+		set := gen.Next(e, nil)
 		if len(set) == 0 {
 			t.Fatalf("empty activation set at step %d with working processes", t2)
 		}

@@ -67,65 +67,60 @@ func newGen(rng *rand.Rand, bound int) *gen {
 func (g *gen) Name() string { return fmt.Sprintf("fuzz-gen(bound=%d)", g.bound) }
 
 // Next implements schedule.Scheduler.
-func (g *gen) Next(st schedule.State) []int {
-	working := g.scratch[:0]
-	for i := 0; i < st.N(); i++ {
-		if st.Working(i) {
-			working = append(working, i)
-		}
-	}
-	g.scratch = working
+func (g *gen) Next(st schedule.State, buf []int) []int {
+	g.scratch = st.AppendWorking(g.scratch[:0])
+	working := g.scratch
 	if len(working) == 0 {
-		return nil
+		return buf
 	}
 	if g.left <= 0 {
 		g.newPhase(st)
 	}
 	g.left--
 
-	var out []int
+	start := len(buf)
 	switch g.kind {
 	case phaseSubset:
 		for _, i := range working {
 			if g.rng.Float64() < g.p {
-				out = append(out, i)
+				buf = append(buf, i)
 			}
 		}
 	case phaseSingleton:
-		out = []int{working[g.rng.Intn(len(working))]}
+		buf = append(buf, working[g.rng.Intn(len(working))])
 	case phaseAlternating:
 		// Mirror schedule.Alternating with a configurable leading class:
 		// on odd steps the parity-g.parity class moves.
 		want := (st.Time() + g.parity) % 2
 		for _, i := range working {
 			if i%2 == want {
-				out = append(out, i)
+				buf = append(buf, i)
 			}
 		}
 	case phaseBurst:
 		if !st.Working(g.node) {
 			g.node = working[g.rng.Intn(len(working))]
 		}
-		out = []int{g.node}
+		buf = append(buf, g.node)
 	case phaseStarve:
 		for _, i := range working {
 			if i < len(g.frozen) && g.frozen[i] {
 				continue
 			}
 			if g.rng.Float64() < g.p {
-				out = append(out, i)
+				buf = append(buf, i)
 			}
 		}
 	default: // phaseSync
-		out = append(out, working...)
+		buf = append(buf, working...)
 	}
-	if len(out) == 0 {
+	if len(buf) == start {
 		// Whatever the pattern excluded, keep the execution moving: an
 		// empty set is a wasted step the engine eventually punishes by
 		// crashing everyone.
-		out = []int{working[g.rng.Intn(len(working))]}
+		buf = append(buf, working[g.rng.Intn(len(working))])
 	}
-	return out
+	return buf
 }
 
 // newPhase rolls the next phase: kind, length, and per-kind parameters.

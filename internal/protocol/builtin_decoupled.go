@@ -19,10 +19,13 @@ type decoupledInstance struct {
 	e *decoupled.Engine[decoupled.ThreeColorVal]
 }
 
-func (x *decoupledInstance) N() int                  { return x.e.N() }
-func (x *decoupledInstance) Time() int               { return x.e.Time() }
-func (x *decoupledInstance) Working(i int) bool      { return x.e.Working(i) }
-func (x *decoupledInstance) Activations(i int) int   { return x.e.Activations(i) }
+func (x *decoupledInstance) N() int                { return x.e.N() }
+func (x *decoupledInstance) Time() int             { return x.e.Time() }
+func (x *decoupledInstance) Working(i int) bool    { return x.e.Working(i) }
+func (x *decoupledInstance) Activations(i int) int { return x.e.Activations(i) }
+func (x *decoupledInstance) AppendWorking(buf []int) []int {
+	return x.e.AppendWorking(buf)
+}
 func (x *decoupledInstance) AllDone() bool           { return x.e.AllDone() }
 func (x *decoupledInstance) AllSettled() bool        { return x.e.AllSettled() }
 func (x *decoupledInstance) Step(active []int) []int { return x.e.Tick(active) }
@@ -105,10 +108,9 @@ func registerDecoupled() {
 			return &decoupledInstance{e: e}, nil
 		},
 
-		// Run drives the tick loop directly. The network clock is part of
-		// the model, so MaxSteps bounds communication rounds, not process
-		// steps; the budgeted path mirrors the state engine's idle-streak
-		// crash rule (Budget.MaxActivations is not supported here).
+		// Run drives the tick loop. The network clock is part of the
+		// model, so MaxSteps bounds communication rounds, not process
+		// steps.
 		Run: func(xs []int, o RunOptions) (sim.Result, runctl.StopReason, error) {
 			e, _, err := mk(xs, o.Crashes)
 			if err != nil {
@@ -122,29 +124,10 @@ func registerDecoupled() {
 				sched = schedule.Synchronous{}
 			}
 			if o.budgeted() {
-				ck := runctl.NewChecker(o.Context, o.Budget.Timeout)
-				maxTicks := runctl.Min(o.MaxSteps, o.Budget.MaxSteps)
-				empties := 0
-				for !e.AllSettled() {
-					if reason, stop := ck.Check(); stop {
-						return convDecoupled(e.Snapshot()), reason, nil
-					}
-					if e.Time()-1 >= maxTicks {
-						return convDecoupled(e.Snapshot()), runctl.StopMaxSteps, nil
-					}
-					if performed := e.Tick(sched.Next(e)); len(performed) == 0 {
-						if empties++; empties >= 2048 {
-							for i := 0; i < e.N(); i++ {
-								if e.Working(i) {
-									e.CrashAfter(i, 0)
-								}
-							}
-						}
-					} else {
-						empties = 0
-					}
-				}
-				return convDecoupled(e.Snapshot()), runctl.StopNone, nil
+				b := o.Budget
+				b.MaxSteps = runctl.Min(o.MaxSteps, b.MaxSteps)
+				res, reason := e.RunBudget(o.Context, sched, b)
+				return convDecoupled(res), reason, nil
 			}
 			res, err := e.Run(sched, o.MaxSteps)
 			return convDecoupled(res), runctl.StopNone, err

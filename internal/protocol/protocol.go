@@ -59,6 +59,19 @@ type RunOptions struct {
 	Budget runctl.Budget
 }
 
+// CrashPlan is the deterministic adversarial crash plan the CLIs, the job
+// server and the experiments share: ⌊frac·n⌋ picks, the i-th crashing
+// process (7919·i + seed) mod n after i mod 5 of its own rounds (0 = never
+// wakes); a later pick of the same process overrides an earlier one.
+func CrashPlan(frac float64, n int, seed int64) map[int]int {
+	crashes := map[int]int{}
+	count := int(frac * float64(n))
+	for i := 0; i < count; i++ {
+		crashes[(i*7919+int(seed))%n] = i % 5
+	}
+	return crashes
+}
+
 // budgeted reports whether the options select the budget-aware run path,
 // mirroring the facade's historical dispatch condition exactly.
 func (o RunOptions) budgeted() bool {

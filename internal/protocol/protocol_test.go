@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"asynccycle/internal/contract"
+	"asynccycle/internal/ids"
 	"asynccycle/internal/model"
 	"asynccycle/internal/runctl"
 	"asynccycle/internal/schedule"
@@ -169,7 +170,7 @@ func TestRunMatchesEngine(t *testing.T) {
 	}
 	rr := schedule.NewRoundRobin(1)
 	for !inst.AllSettled() {
-		inst.Step(rr.Next(inst))
+		inst.Step(rr.Next(inst, nil))
 	}
 	got := inst.Result()
 	if got.Steps != res.Steps {
@@ -201,5 +202,31 @@ func TestDecoupledCheckDepthBounded(t *testing.T) {
 	}
 	if rep.States != 3899 {
 		t.Errorf("C3 depth-6 subset exploration states = %d, want 3899 (determinism pin)", rep.States)
+	}
+}
+
+// TestDecoupledRunHonorsActivationBudget: decoupled-three's budgeted Run
+// stops on Budget.MaxActivations like every other engine, reporting the
+// trip as a PARTIAL stop instead of silently running to completion.
+func TestDecoupledRunHonorsActivationBudget(t *testing.T) {
+	d, err := Lookup("decoupled-three")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, reason, err := d.Run(ids.MustGenerate(ids.Increasing, 12, 0), RunOptions{
+		Scheduler: schedule.NewRoundRobin(1),
+		MaxSteps:  10_000,
+		Budget:    runctl.Budget{MaxActivations: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, a := range res.Activations {
+		total += a
+	}
+	if reason != runctl.StopActivations || total != 3 {
+		t.Fatalf("reason=%q after %d activations (%d terminated), want %q after exactly 3",
+			reason, total, res.TerminatedCount(), runctl.StopActivations)
 	}
 }

@@ -1,8 +1,8 @@
 // Package runctl is the run-control vocabulary shared by every execution
 // layer of the repository: explicit budgets (wall-clock, states, steps,
-// activations), the stop reasons a tripped budget reports, and a cheap
+// activations), the stop reasons a tripped budget reports, a cheap
 // amortized checker that polls a context and deadline without paying a
-// time.Now per event.
+// time.Now per event, and Drive, the one run loop every engine uses.
 //
 // The contract every layer honors: a tripped budget or cancelled context
 // never discards work. The layer stops claiming new work, assembles a

@@ -20,10 +20,11 @@ func NewRecording(inner Scheduler) *Recording { return &Recording{Inner: inner} 
 func (r *Recording) Name() string { return "recording(" + r.Inner.Name() + ")" }
 
 // Next implements Scheduler.
-func (r *Recording) Next(st State) []int {
-	chosen := r.Inner.Next(st)
-	r.steps = append(r.steps, append([]int(nil), chosen...))
-	return chosen
+func (r *Recording) Next(st State, buf []int) []int {
+	start := len(buf)
+	buf = r.Inner.Next(st, buf)
+	r.steps = append(r.steps, append([]int(nil), buf[start:]...))
+	return buf
 }
 
 // Steps returns the captured schedule prefix (deep copy).
@@ -55,16 +56,17 @@ func NewReplay(steps [][]int) *Replay {
 // Name implements Scheduler.
 func (r *Replay) Name() string { return fmt.Sprintf("replay(%d steps)", len(r.steps)) }
 
-// Next implements Scheduler. The returned slice is a copy: callers (engine
-// hooks, schedule shrinkers) may mutate it freely without corrupting the
-// recorded schedule, so replays of the same Replay value stay bit-exact.
-func (r *Replay) Next(State) []int {
+// Next implements Scheduler. The step is copied into the caller's buffer:
+// callers (engine hooks, schedule shrinkers) may mutate it freely without
+// corrupting the recorded schedule, so replays of the same Replay value
+// stay bit-exact.
+func (r *Replay) Next(_ State, buf []int) []int {
 	if r.pos >= len(r.steps) {
-		return nil
+		return buf
 	}
-	s := append([]int(nil), r.steps[r.pos]...)
+	buf = append(buf, r.steps[r.pos]...)
 	r.pos++
-	return s
+	return buf
 }
 
 // Remaining returns how many recorded steps have not been played yet.

@@ -12,7 +12,7 @@ import (
 func TestReplayNextReturnsCopy(t *testing.T) {
 	steps := [][]int{{2, 0, 1}, {1}, {0, 2}}
 	r := NewReplay(steps)
-	got := r.Next(nil)
+	got := r.Next(nil, nil)
 	if !reflect.DeepEqual(got, []int{2, 0, 1}) {
 		t.Fatalf("Next = %v, want [2 0 1]", got)
 	}
@@ -21,10 +21,10 @@ func TestReplayNextReturnsCopy(t *testing.T) {
 		t.Fatalf("mutating Next's result corrupted the recorded schedule: %v", r.steps[0])
 	}
 	// The remaining steps must still play back verbatim.
-	if got := r.Next(nil); !reflect.DeepEqual(got, []int{1}) {
+	if got := r.Next(nil, nil); !reflect.DeepEqual(got, []int{1}) {
 		t.Fatalf("step 2 = %v, want [1]", got)
 	}
-	if got := r.Next(nil); !reflect.DeepEqual(got, []int{0, 2}) {
+	if got := r.Next(nil, nil); !reflect.DeepEqual(got, []int{0, 2}) {
 		t.Fatalf("step 3 = %v, want [0 2]", got)
 	}
 }

@@ -64,14 +64,14 @@ func TestReplayRemaining(t *testing.T) {
 	if r.Remaining() != 2 {
 		t.Fatalf("remaining = %d", r.Remaining())
 	}
-	r.Next(nil)
-	if got := r.Next(nil); !reflect.DeepEqual(got, []int{1, 2}) {
+	r.Next(nil, nil)
+	if got := r.Next(nil, nil); !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Fatalf("second step = %v", got)
 	}
 	if r.Remaining() != 0 {
 		t.Fatalf("remaining = %d", r.Remaining())
 	}
-	if got := r.Next(nil); got != nil {
+	if got := r.Next(nil, nil); got != nil {
 		t.Fatalf("exhausted replay returned %v", got)
 	}
 }
@@ -107,7 +107,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 func TestRecordingDeepCopies(t *testing.T) {
 	rec := schedule.NewRecording(schedule.Synchronous{})
 	st := fakeStateN(3)
-	rec.Next(st)
+	rec.Next(st, nil)
 	steps := rec.Steps()
 	steps[0][0] = 99
 	if rec.Steps()[0][0] == 99 {
@@ -126,12 +126,12 @@ type mutatingScheduler struct {
 
 func (m *mutatingScheduler) Name() string { return "mutating(" + m.Inner.Name() + ")" }
 
-func (m *mutatingScheduler) Next(st schedule.State) []int {
+func (m *mutatingScheduler) Next(st schedule.State, buf []int) []int {
 	for i := range m.last {
 		m.last[i] = -1
 	}
-	m.last = m.Inner.Next(st)
-	return append([]int(nil), m.last...)
+	m.last = m.Inner.Next(st, m.last[:0])
+	return append(buf, m.last...)
 }
 
 // TestReplayRoundTripSurvivesCallerMutation is the mutation-regression
@@ -189,5 +189,12 @@ func (s simpleState) N() int              { return s.n }
 func (s simpleState) Time() int           { return 1 }
 func (s simpleState) Working(int) bool    { return true }
 func (s simpleState) Activations(int) int { return 0 }
+
+func (s simpleState) AppendWorking(buf []int) []int {
+	for i := 0; i < s.n; i++ {
+		buf = append(buf, i)
+	}
+	return buf
+}
 
 func fakeStateN(n int) schedule.State { return simpleState{n: n} }

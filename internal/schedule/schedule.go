@@ -25,17 +25,22 @@ type State interface {
 	Working(i int) bool
 	// Activations returns how many rounds process i has performed so far.
 	Activations(i int) int
+	// AppendWorking appends the working processes to buf in ascending
+	// index order and returns the extended slice.
+	AppendWorking(buf []int) []int
 }
 
-// Scheduler chooses the activation set for each time step. Next may return
-// indices of non-working processes; the engine filters them out. Returning
+// Scheduler chooses the activation set for each time step. Next may choose
+// indices of non-working processes; the engine filters them out. Choosing
 // an empty set is a no-op step; the engine gives up (declaring the remaining
 // processes crashed) after a run of consecutive empty choices.
 type Scheduler interface {
 	// Name identifies the scheduler in experiment tables.
 	Name() string
-	// Next returns σ(t) for the step described by st.
-	Next(st State) []int
+	// Next appends σ(t) for the step described by st to buf and returns
+	// the extended slice. buf belongs to the caller, which reuses it from
+	// step to step, so a warm run chooses without allocating.
+	Next(st State, buf []int) []int
 }
 
 // Synchronous activates every working process at every step — the lock-step
@@ -47,15 +52,7 @@ type Synchronous struct{}
 func (Synchronous) Name() string { return "synchronous" }
 
 // Next implements Scheduler.
-func (Synchronous) Next(st State) []int {
-	out := make([]int, 0, st.N())
-	for i := 0; i < st.N(); i++ {
-		if st.Working(i) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
+func (Synchronous) Next(st State, buf []int) []int { return st.AppendWorking(buf) }
 
 // RoundRobin activates Width working processes per step, cycling through
 // process indices in order. Width 1 is the classic fully sequential
@@ -77,19 +74,19 @@ func NewRoundRobin(width int) *RoundRobin {
 func (r *RoundRobin) Name() string { return fmt.Sprintf("round-robin(%d)", r.Width) }
 
 // Next implements Scheduler.
-func (r *RoundRobin) Next(st State) []int {
+func (r *RoundRobin) Next(st State, buf []int) []int {
 	n := st.N()
-	out := make([]int, 0, r.Width)
-	for scanned := 0; scanned < n && len(out) < r.Width; scanned++ {
+	start := len(buf)
+	for scanned := 0; scanned < n && len(buf)-start < r.Width; scanned++ {
 		i := (r.next + scanned) % n
 		if st.Working(i) {
-			out = append(out, i)
+			buf = append(buf, i)
 		}
 	}
-	if len(out) > 0 {
-		r.next = (out[len(out)-1] + 1) % n
+	if len(buf) > start {
+		r.next = (buf[len(buf)-1] + 1) % n
 	}
-	return out
+	return buf
 }
 
 // RandomSubset independently activates each working process with probability
@@ -115,20 +112,21 @@ func NewRandomSubset(p float64, seed int64) *RandomSubset {
 // Name implements Scheduler.
 func (s *RandomSubset) Name() string { return fmt.Sprintf("random-subset(p=%.2f)", s.P) }
 
-// Next implements Scheduler.
-func (s *RandomSubset) Next(st State) []int {
-	var working []int
-	var out []int
-	for i := 0; i < st.N(); i++ {
-		if !st.Working(i) {
-			continue
-		}
-		working = append(working, i)
+// Next implements Scheduler: one Float64 draw per working process in
+// ascending order, plus one Intn when every draw came up empty.
+func (s *RandomSubset) Next(st State, buf []int) []int {
+	start := len(buf)
+	buf = st.AppendWorking(buf)
+	working := buf[start:]
+	// Compact the chosen processes in place; the write index never passes
+	// the read index.
+	out := buf[:start]
+	for _, i := range working {
 		if s.rng.Float64() < s.P {
 			out = append(out, i)
 		}
 	}
-	if len(out) == 0 && len(working) > 0 {
+	if len(out) == start && len(working) > 0 {
 		out = append(out, working[s.rng.Intn(len(working))])
 	}
 	return out
@@ -149,17 +147,14 @@ func NewRandomOne(seed int64) *RandomOne {
 func (s *RandomOne) Name() string { return "random-one" }
 
 // Next implements Scheduler.
-func (s *RandomOne) Next(st State) []int {
-	var working []int
-	for i := 0; i < st.N(); i++ {
-		if st.Working(i) {
-			working = append(working, i)
-		}
+func (s *RandomOne) Next(st State, buf []int) []int {
+	start := len(buf)
+	buf = st.AppendWorking(buf)
+	if len(buf) == start {
+		return buf
 	}
-	if len(working) == 0 {
-		return nil
-	}
-	return []int{working[s.rng.Intn(len(working))]}
+	pick := buf[start+s.rng.Intn(len(buf)-start)]
+	return append(buf[:start], pick)
 }
 
 // Alternating activates the even-index processes on odd steps and the
@@ -171,22 +166,21 @@ type Alternating struct{}
 func (Alternating) Name() string { return "alternating" }
 
 // Next implements Scheduler.
-func (Alternating) Next(st State) []int {
+func (Alternating) Next(st State, buf []int) []int {
 	// Time is 1-based: on odd steps (Time()%2 == 1) the even-index class
 	// moves, on even steps the odd-index class.
-	var out []int
-	for i := 0; i < st.N(); i++ {
-		if i%2 != st.Time()%2 && st.Working(i) {
+	parity := st.Time() % 2
+	start := len(buf)
+	buf = st.AppendWorking(buf)
+	out := buf[:start]
+	for _, i := range buf[start:] {
+		if i%2 != parity {
 			out = append(out, i)
 		}
 	}
-	if len(out) == 0 {
+	if len(out) == start {
 		// The opposite class may be all that remains.
-		for i := 0; i < st.N(); i++ {
-			if st.Working(i) {
-				out = append(out, i)
-			}
-		}
+		return buf
 	}
 	return out
 }
@@ -218,13 +212,14 @@ func (s *Sleep) Name() string {
 }
 
 // Next implements Scheduler.
-func (s *Sleep) Next(st State) []int {
-	chosen := s.Inner.Next(st)
+func (s *Sleep) Next(st State, buf []int) []int {
+	start := len(buf)
+	buf = s.Inner.Next(st, buf)
 	if st.Time() >= s.WakeAt {
-		return chosen
+		return buf
 	}
-	out := chosen[:0:0]
-	for _, i := range chosen {
+	out := buf[:start]
+	for _, i := range buf[start:] {
 		if !s.Asleep[i] {
 			out = append(out, i)
 		}
@@ -254,7 +249,7 @@ func NewBurst(k int) *Burst {
 func (b *Burst) Name() string { return fmt.Sprintf("burst(%d)", b.K) }
 
 // Next implements Scheduler.
-func (b *Burst) Next(st State) []int {
+func (b *Burst) Next(st State, buf []int) []int {
 	n := st.N()
 	for scanned := 0; scanned <= n; scanned++ {
 		i := (b.current + scanned) % n
@@ -270,9 +265,9 @@ func (b *Burst) Next(st State) []int {
 			b.current = (i + 1) % n
 			b.fired = 0
 		}
-		return []int{i}
+		return append(buf, i)
 	}
-	return nil
+	return buf
 }
 
 // Parse resolves a scheduler family by the short name the CLIs and the

@@ -21,10 +21,19 @@ func (f *fakeState) Time() int             { return f.time }
 func (f *fakeState) Working(i int) bool    { return !f.stopped[i] }
 func (f *fakeState) Activations(i int) int { return f.acts[i] }
 
+func (f *fakeState) AppendWorking(buf []int) []int {
+	for i := 0; i < f.n; i++ {
+		if f.Working(i) {
+			buf = append(buf, i)
+		}
+	}
+	return buf
+}
+
 func TestSynchronous(t *testing.T) {
 	st := newFakeState(4)
 	st.stopped[2] = true
-	got := Synchronous{}.Next(st)
+	got := Synchronous{}.Next(st, nil)
 	want := []int{0, 1, 3}
 	if len(got) != len(want) {
 		t.Fatalf("Next = %v, want %v", got, want)
@@ -44,7 +53,7 @@ func TestRoundRobinWidthOne(t *testing.T) {
 	rr := NewRoundRobin(1)
 	var order []int
 	for i := 0; i < 6; i++ {
-		chosen := rr.Next(st)
+		chosen := rr.Next(st, nil)
 		if len(chosen) != 1 {
 			t.Fatalf("width-1 chose %v", chosen)
 		}
@@ -64,7 +73,7 @@ func TestRoundRobinSkipsStopped(t *testing.T) {
 	rr := NewRoundRobin(1)
 	var order []int
 	for i := 0; i < 4; i++ {
-		order = append(order, rr.Next(st)[0])
+		order = append(order, rr.Next(st, nil)[0])
 	}
 	for _, i := range order {
 		if i == 1 {
@@ -83,11 +92,11 @@ func TestRoundRobinWidthClamped(t *testing.T) {
 func TestRoundRobinWide(t *testing.T) {
 	st := newFakeState(5)
 	rr := NewRoundRobin(3)
-	first := rr.Next(st)
+	first := rr.Next(st, nil)
 	if len(first) != 3 {
 		t.Fatalf("chose %v, want 3 processes", first)
 	}
-	second := rr.Next(st)
+	second := rr.Next(st, nil)
 	if second[0] != (first[len(first)-1]+1)%5 {
 		t.Fatalf("second batch %v does not continue after %v", second, first)
 	}
@@ -97,7 +106,7 @@ func TestRandomSubsetAlwaysProgresses(t *testing.T) {
 	st := newFakeState(6)
 	s := NewRandomSubset(0.01, 7) // tiny p: relies on the at-least-one rule
 	for i := 0; i < 100; i++ {
-		if got := s.Next(st); len(got) == 0 {
+		if got := s.Next(st, nil); len(got) == 0 {
 			t.Fatal("RandomSubset returned empty set with working processes")
 		}
 	}
@@ -108,7 +117,7 @@ func TestRandomSubsetEmptyWhenAllStopped(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		st.stopped[i] = true
 	}
-	if got := NewRandomSubset(0.5, 1).Next(st); len(got) != 0 {
+	if got := NewRandomSubset(0.5, 1).Next(st, nil); len(got) != 0 {
 		t.Fatalf("chose %v from no working processes", got)
 	}
 }
@@ -128,7 +137,7 @@ func TestRandomOne(t *testing.T) {
 	s := NewRandomOne(3)
 	seen := map[int]bool{}
 	for i := 0; i < 200; i++ {
-		got := s.Next(st)
+		got := s.Next(st, nil)
 		if len(got) != 1 {
 			t.Fatalf("chose %v", got)
 		}
@@ -142,7 +151,7 @@ func TestRandomOne(t *testing.T) {
 	}
 	st2 := newFakeState(1)
 	st2.stopped[0] = true
-	if got := s.Next(st2); got != nil {
+	if got := s.Next(st2, nil); got != nil {
 		t.Errorf("chose %v from empty working set", got)
 	}
 }
@@ -164,7 +173,7 @@ func TestAlternatingParity(t *testing.T) {
 	for _, c := range cases {
 		st := newFakeState(5)
 		st.time = c.time
-		got := Alternating{}.Next(st)
+		got := Alternating{}.Next(st, nil)
 		if len(got) != len(c.want) {
 			t.Fatalf("t=%d: Next = %v, want %v", c.time, got, c.want)
 		}
@@ -181,7 +190,7 @@ func TestAlternatingFallsBackWhenClassEmpty(t *testing.T) {
 	st.stopped[0] = true
 	st.stopped[2] = true // no even processes left
 	st.time = 1          // odd step wants even processes
-	got := Alternating{}.Next(st)
+	got := Alternating{}.Next(st, nil)
 	if len(got) == 0 {
 		t.Fatal("alternating starved the execution with working processes left")
 	}
@@ -196,13 +205,13 @@ func TestSleepWithholdsUntilWake(t *testing.T) {
 	st := newFakeState(4)
 	s := NewSleep([]int{0, 1}, 10, Synchronous{})
 	st.time = 5
-	for _, i := range s.Next(st) {
+	for _, i := range s.Next(st, nil) {
 		if i == 0 || i == 1 {
 			t.Fatal("sleeping process scheduled before wake time")
 		}
 	}
 	st.time = 10
-	got := s.Next(st)
+	got := s.Next(st, nil)
 	found := false
 	for _, i := range got {
 		if i == 0 {
@@ -222,7 +231,7 @@ func TestBurstGivesConsecutiveSoloSteps(t *testing.T) {
 	b := NewBurst(3)
 	var order []int
 	for i := 0; i < 9; i++ {
-		got := b.Next(st)
+		got := b.Next(st, nil)
 		if len(got) != 1 {
 			t.Fatalf("burst chose %v", got)
 		}
@@ -240,14 +249,14 @@ func TestBurstSkipsStopped(t *testing.T) {
 	st := newFakeState(3)
 	st.stopped[0] = true
 	b := NewBurst(2)
-	got := b.Next(st)
+	got := b.Next(st, nil)
 	if len(got) != 1 || got[0] == 0 {
 		t.Fatalf("burst chose %v with process 0 stopped", got)
 	}
 	for i := 0; i < 3; i++ {
 		st.stopped[i] = true
 	}
-	if got := b.Next(st); got != nil {
+	if got := b.Next(st, nil); got != nil {
 		t.Fatalf("burst chose %v from empty working set", got)
 	}
 }
@@ -278,14 +287,14 @@ func TestSleepWakesExactlyAtBoundary(t *testing.T) {
 	st := newFakeState(3)
 	s := NewSleep([]int{0}, 7, Synchronous{})
 	st.time = 6
-	for _, i := range s.Next(st) {
+	for _, i := range s.Next(st, nil) {
 		if i == 0 {
 			t.Fatal("sleeper scheduled one step before WakeAt")
 		}
 	}
 	st.time = 7
 	woke := false
-	for _, i := range s.Next(st) {
+	for _, i := range s.Next(st, nil) {
 		if i == 0 {
 			woke = true
 		}
@@ -302,7 +311,7 @@ func TestSleepAllAsleepYieldsEmptyStep(t *testing.T) {
 	st := newFakeState(3)
 	s := NewSleep([]int{0, 1, 2}, 50, Synchronous{})
 	st.time = 10
-	if got := s.Next(st); len(got) != 0 {
+	if got := s.Next(st, nil); len(got) != 0 {
 		t.Fatalf("all-asleep step chose %v, want empty", got)
 	}
 }
@@ -313,14 +322,14 @@ func TestBurstMidBurstTerminationResetsBudget(t *testing.T) {
 	st := newFakeState(3)
 	b := NewBurst(3)
 	for i := 0; i < 2; i++ { // process 0 fires twice, mid-burst
-		if got := b.Next(st); len(got) != 1 || got[0] != 0 {
+		if got := b.Next(st, nil); len(got) != 1 || got[0] != 0 {
 			t.Fatalf("step %d chose %v, want [0]", i, got)
 		}
 	}
 	st.stopped[0] = true // terminates with one step of its burst unused
 	var order []int
 	for i := 0; i < 3; i++ {
-		got := b.Next(st)
+		got := b.Next(st, nil)
 		if len(got) != 1 {
 			t.Fatalf("chose %v, want singleton", got)
 		}
@@ -342,9 +351,45 @@ func TestBurstSingleSurvivorWrapsAround(t *testing.T) {
 	st.stopped[3] = true
 	b := NewBurst(2)
 	for i := 0; i < 7; i++ {
-		got := b.Next(st)
+		got := b.Next(st, nil)
 		if len(got) != 1 || got[0] != 2 {
 			t.Fatalf("step %d chose %v, want [2] (sole survivor)", i, got)
+		}
+	}
+}
+
+// TestNextAppendsToCallerBuffer pins the append contract of every family:
+// Next leaves the caller's prefix intact and appends exactly the choice it
+// makes on an empty buffer (same seeds, same decision streams).
+func TestNextAppendsToCallerBuffer(t *testing.T) {
+	mk := []func() Scheduler{
+		func() Scheduler { return Synchronous{} },
+		func() Scheduler { return NewRoundRobin(2) },
+		func() Scheduler { return NewRandomSubset(0.4, 3) },
+		func() Scheduler { return NewRandomOne(3) },
+		func() Scheduler { return Alternating{} },
+		func() Scheduler { return NewBurst(2) },
+		func() Scheduler { return NewSleep([]int{1}, 4, NewRoundRobin(3)) },
+		func() Scheduler { return NewShardedRoundRobin(1) },
+		func() Scheduler { return NewRecording(NewRandomSubset(0.5, 9)) },
+		func() Scheduler { return NewReplay([][]int{{2, 0}, {}, {1}}) },
+	}
+	for _, m := range mk {
+		fresh, prefixed := m(), m()
+		st := newFakeState(6)
+		st.stopped[3] = true
+		for step := 1; step <= 6; step++ {
+			st.time = step
+			want := fresh.Next(st, nil)
+			got := prefixed.Next(st, []int{7, 8})
+			if len(got) != len(want)+2 || got[0] != 7 || got[1] != 8 {
+				t.Fatalf("%s step %d: Next(prefix) = %v, want [7 8]+%v", fresh.Name(), step, got, want)
+			}
+			for i := range want {
+				if got[i+2] != want[i] {
+					t.Fatalf("%s step %d: Next(prefix) = %v, want [7 8]+%v", fresh.Name(), step, got, want)
+				}
+			}
 		}
 	}
 }

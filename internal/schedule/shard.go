@@ -73,8 +73,8 @@ func (s *ShardedRoundRobin) Name() string {
 
 // Next implements Scheduler: singleton activations in canonical sharded
 // order. One call scans at most one full super-round; if no working node
-// exists it returns nil.
-func (s *ShardedRoundRobin) Next(st State) []int {
+// exists it chooses nobody.
+func (s *ShardedRoundRobin) Next(st State, buf []int) []int {
 	n := st.N()
 	if s.bounds == nil {
 		s.bounds = ShardBounds(n, s.Workers)
@@ -90,7 +90,7 @@ func (s *ShardedRoundRobin) Next(st State) []int {
 				i := s.pos
 				s.pos++
 				if st.Working(i) {
-					return []int{i}
+					return append(buf, i)
 				}
 				continue
 			}
@@ -113,7 +113,7 @@ func (s *ShardedRoundRobin) Next(st State) []int {
 				i = s.bounds[w+1] - 1
 			}
 			if i >= 0 && i < n && st.Working(i) {
-				return []int{i}
+				return append(buf, i)
 			}
 			continue
 		}
@@ -121,7 +121,7 @@ func (s *ShardedRoundRobin) Next(st State) []int {
 		s.phase, s.arc = 0, 0
 		s.pos = s.interiorLo(0)
 	}
-	return nil
+	return buf
 }
 
 // interiorLo returns the first interior index of arc w: the node after the

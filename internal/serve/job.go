@@ -416,17 +416,6 @@ func (s *Server) execute(ctx context.Context, j *job) {
 	}
 }
 
-// crashPlan mirrors the colorcycle CLI's deterministic crash plan.
-func crashPlan(frac float64, n int, seed int64) map[int]int {
-	crashes := map[int]int{}
-	count := int(frac * float64(n))
-	for i := 0; i < count; i++ {
-		node := (i*7919 + int(seed)) % n
-		crashes[node] = i % 5
-	}
-	return crashes
-}
-
 // engineBudget is the budget handed to the execution layer: the wall
 // clock axis is already folded into ctx by the caller, so it is zeroed
 // here rather than starting a second, later-anchored timer.
@@ -449,7 +438,7 @@ func (s *Server) executeRun(ctx context.Context, j *job) {
 		j.finish(OutcomeFailed, runctl.StopNone, nil, err)
 		return
 	}
-	crashes := crashPlan(spec.Crash, g.N(), spec.Seed)
+	crashes := protocol.CrashPlan(spec.Crash, g.N(), spec.Seed)
 
 	b := engineBudget(j.budget)
 	b.MaxSteps = runctl.Min(1000*g.N()+100_000, b.MaxSteps)

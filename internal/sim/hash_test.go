@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"asynccycle/internal/graph"
+	"asynccycle/internal/runctl"
+	"asynccycle/internal/schedule"
 	"asynccycle/internal/sim"
 )
 
@@ -126,6 +128,24 @@ func TestStepZeroAllocsWarm(t *testing.T) {
 		step++
 	}); n != 0 {
 		t.Fatalf("warm Step allocates %v/op, want 0", n)
+	}
+}
+
+// TestRunStepZeroAllocsWarm pins Run's loop: the scheduler appends into
+// the engine's reused buffer, so a warm run's allocations (the Result
+// snapshot) do not grow with its step count — a warm run step under
+// schedule.Synchronous allocates nothing.
+func TestRunStepZeroAllocsWarm(t *testing.T) {
+	e := newHashEngine(t, 64)
+	e.Step([]int{0}) // warm the scratch buffers
+	run := func(steps int) float64 {
+		return testing.AllocsPerRun(50, func() {
+			e.RunBudget(nil, schedule.Synchronous{}, runctl.Budget{MaxSteps: e.Result().Steps + steps})
+		})
+	}
+	run(64) // grow the scheduler buffer to the working set
+	if one, many := run(1), run(64); many != one {
+		t.Fatalf("a 64-step run allocates %v/op, a 1-step run %v/op: run steps allocate", many, one)
 	}
 }
 

@@ -18,6 +18,9 @@ type Instance interface {
 	Working(i int) bool
 	// Activations counts the rounds process i performed (schedule.State).
 	Activations(i int) int
+	// AppendWorking appends the working processes in ascending order
+	// (schedule.State).
+	AppendWorking(buf []int) []int
 	// AllDone reports whether every process terminated with an output.
 	AllDone() bool
 	// AllSettled reports whether every process terminated or crashed.
@@ -53,6 +56,7 @@ func (x *engineInstance[V]) N() int                               { return x.e.N
 func (x *engineInstance[V]) Time() int                            { return x.e.Time() }
 func (x *engineInstance[V]) Working(i int) bool                   { return x.e.Working(i) }
 func (x *engineInstance[V]) Activations(i int) int                { return x.e.Activations(i) }
+func (x *engineInstance[V]) AppendWorking(buf []int) []int        { return x.e.AppendWorking(buf) }
 func (x *engineInstance[V]) AllDone() bool                        { return x.e.AllDone() }
 func (x *engineInstance[V]) AllSettled() bool                     { return x.e.AllSettled() }
 func (x *engineInstance[V]) Step(active []int) []int              { return x.e.Step(active) }

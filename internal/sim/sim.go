@@ -146,14 +146,6 @@ type Hook[V any] func(e *Engine[V], t int, activated []int)
 // the paper's algorithms are wait-free.
 var ErrStepLimit = errors.New("sim: step limit exceeded")
 
-// emptyStreak is how many consecutive no-op steps (scheduler choices that
-// activate nobody) Run tolerates before declaring the remaining processes
-// crashed. Idle steps change no state, so an adversary idling forever is
-// indistinguishable from one that crashed everyone; the tolerance is large
-// enough for deliberate idling phases (e.g. Sleep schedulers parking the
-// execution until a wake time) to pass through.
-const emptyStreak = 2048
-
 // Engine executes one distributed algorithm instance over a graph.
 type Engine[V any] struct {
 	g       graph.Graph
@@ -172,6 +164,7 @@ type Engine[V any] struct {
 	// without allocating. Never shared between engines: Clone/CloneInto
 	// give every engine its own.
 	viewBuf      []Cell[V] // neighbor views handed to Observe
+	schedBuf     []int     // the scheduler's choice, reused by every run step
 	performedBuf []int     // Step's result slice
 	inSetBuf     []bool    // Step's dedup marks, cleared after use
 	fph          FPHasher  // FingerprintHash's streaming state
@@ -273,6 +266,16 @@ func (e *Engine[V]) Working(i int) bool { return !e.done[i] && !e.crashed[i] }
 
 // Activations implements schedule.State.
 func (e *Engine[V]) Activations(i int) int { return e.acts[i] }
+
+// AppendWorking implements schedule.State.
+func (e *Engine[V]) AppendWorking(buf []int) []int {
+	for i := range e.done {
+		if e.Working(i) {
+			buf = append(buf, i)
+		}
+	}
+	return buf
+}
 
 // Done reports whether process i terminated.
 func (e *Engine[V]) Done(i int) bool { return e.done[i] }
@@ -392,78 +395,52 @@ func (e *Engine[V]) observe(i int) {
 
 // Run drives the engine with the scheduler until every process terminates
 // or crashes, or until maxSteps is exceeded (returning ErrStepLimit along
-// with the partial result). The scheduler returning empty sets for several
-// consecutive steps crashes all remaining processes, modeling an adversary
-// that abandons them.
+// with the partial result). The scheduler returning empty sets for
+// runctl.EmptyStreak consecutive steps crashes all remaining processes,
+// modeling an adversary that abandons them.
 func (e *Engine[V]) Run(s schedule.Scheduler, maxSteps int) (Result, error) {
-	empties := 0
-	for !e.AllSettled() {
-		if e.t >= maxSteps {
-			return e.result(), fmt.Errorf("%w: %d steps, scheduler %s", ErrStepLimit, e.t, s.Name())
-		}
-		performed := e.Step(s.Next(e))
-		if len(performed) == 0 {
-			empties++
-			if empties >= emptyStreak {
-				for i := range e.crashed {
-					if e.Working(i) {
-						e.crashed[i] = true
-					}
-				}
-			}
-		} else {
-			empties = 0
-		}
+	res, reason := e.RunBudget(nil, s, runctl.Budget{MaxSteps: maxSteps})
+	if reason == runctl.StopMaxSteps {
+		return res, fmt.Errorf("%w: %d steps, scheduler %s", ErrStepLimit, e.t, s.Name())
 	}
-	return e.result(), nil
+	return res, nil
 }
 
 // RunBudget is Run with run control: the execution stops early — returning
 // the partial Result so far plus a non-empty StopReason — when ctx is
 // cancelled, the budget's Timeout elapses, e.t reaches b.MaxSteps, or the
 // total rounds performed reach b.MaxActivations (each limit unbounded when
-// zero). A completed execution returns runctl.StopNone. Cancellation is
-// polled between steps (a step is atomic), so the returned Result is always
-// a consistent configuration. With a nil ctx and a zero budget, RunBudget
-// behaves exactly like Run with no step limit.
+// zero; see runctl.Drive). A completed execution returns runctl.StopNone.
+// Cancellation is polled between steps (a step is atomic), so the
+// returned Result is always a consistent configuration. With a nil ctx and
+// a zero budget, RunBudget behaves exactly like Run with no step limit.
 func (e *Engine[V]) RunBudget(ctx context.Context, s schedule.Scheduler, b runctl.Budget) (Result, runctl.StopReason) {
-	ck := runctl.NewChecker(ctx, b.Timeout)
-	startActs := 0
-	for _, a := range e.acts {
-		startActs += a
-	}
-	empties := 0
-	for !e.AllSettled() {
-		if reason, stop := ck.CheckNow(); stop {
-			return e.result(), reason
-		}
-		if b.MaxSteps > 0 && e.t >= b.MaxSteps {
-			return e.result(), runctl.StopMaxSteps
-		}
-		if b.MaxActivations > 0 {
-			total := -startActs
-			for _, a := range e.acts {
-				total += a
-			}
-			if total >= b.MaxActivations {
-				return e.result(), runctl.StopActivations
-			}
-		}
-		performed := e.Step(s.Next(e))
-		if len(performed) == 0 {
-			empties++
-			if empties >= emptyStreak {
-				for i := range e.crashed {
-					if e.Working(i) {
-						e.crashed[i] = true
-					}
-				}
-			}
-		} else {
-			empties = 0
+	reason, _ := runctl.Drive(ctx, b, &driver[V]{e: e, s: s})
+	return e.result(), reason
+}
+
+// driver binds an engine to the scheduler of one run for runctl.Drive.
+type driver[V any] struct {
+	e *Engine[V]
+	s schedule.Scheduler
+}
+
+func (d *driver[V]) AllSettled() bool { return d.e.AllSettled() }
+func (d *driver[V]) Steps() int64     { return int64(d.e.t) }
+
+// Advance executes one step, whatever the limit: sim steps are never
+// batched.
+func (d *driver[V]) Advance(int64) (int, error) {
+	d.e.schedBuf = d.s.Next(d.e, d.e.schedBuf[:0])
+	return len(d.e.Step(d.e.schedBuf)), nil
+}
+
+func (d *driver[V]) Abandon() {
+	for i := range d.e.crashed {
+		if d.e.Working(i) {
+			d.e.crashed[i] = true
 		}
 	}
-	return e.result(), runctl.StopNone
 }
 
 func (e *Engine[V]) result() Result {

@@ -244,8 +244,8 @@ func TestRunStepLimit(t *testing.T) {
 // everyone immediately.
 type emptyScheduler struct{}
 
-func (emptyScheduler) Name() string              { return "empty" }
-func (emptyScheduler) Next(schedule.State) []int { return nil }
+func (emptyScheduler) Name() string                           { return "empty" }
+func (emptyScheduler) Next(_ schedule.State, buf []int) []int { return buf }
 
 func TestRunGivesUpOnEmptyScheduler(t *testing.T) {
 	g := graph.MustCycle(3)
