@@ -10,6 +10,7 @@
 package asynccycle_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -21,6 +22,7 @@ import (
 	"asynccycle/internal/graph"
 	"asynccycle/internal/ids"
 	"asynccycle/internal/model"
+	"asynccycle/internal/protocol"
 	"asynccycle/internal/runctl"
 	"asynccycle/internal/schedule"
 	"asynccycle/internal/sim"
@@ -239,6 +241,43 @@ func BenchmarkFingerprintHash(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = e.FingerprintHash128()
+	}
+}
+
+// BenchmarkCanonicalFingerprint measures the model checker's state key
+// under SymmetryFull on warm Algorithm 3 engines on C5 and C7: the least
+// rotation of the cached node digests and its fold (a checker child also
+// re-digests the one node its step touched).
+func BenchmarkCanonicalFingerprint(b *testing.B) {
+	for _, n := range []int{5, 7} {
+		b.Run(fmt.Sprintf("C%d", n), func(b *testing.B) {
+			e, _ := sim.NewEngine(graph.MustCycle(n), core.NewFastNodes(ids.MustGenerate(ids.Random, n, 1)))
+			e.Step([]int{0, 2})
+			e.CanonicalFingerprintHash128()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, _, _, _ = e.CanonicalFingerprintHash128()
+			}
+		})
+	}
+}
+
+// BenchmarkSweepC5 measures one exhaustive identifier sweep of Algorithm 2
+// on C5 — every assignment, singleton schedules, SymmetryFull — through
+// the registry, as sweep-c5 in perfbench and modelcheck -sweep run it.
+func BenchmarkSweepC5(b *testing.B) {
+	d, err := protocol.Lookup("five")
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := model.Options{SingletonsOnly: true, Symmetry: model.SymmetryFull}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rep, err := d.Sweep(5, sim.ModeInterleaved, opt)
+		if err != nil || !rep.AllOk || rep.States != 321860 || rep.Terminal != 17650 {
+			b.Fatalf("sweep: %v states=%d terminal=%d allok=%t", err, rep.States, rep.Terminal, rep.AllOk)
+		}
 	}
 }
 

@@ -25,10 +25,16 @@ func ProperColoring(g graph.Graph, r sim.Result) error {
 	if len(r.Outputs) != g.N() {
 		return fmt.Errorf("check: result for %d processes on graph %s with %d nodes", len(r.Outputs), g.Name(), g.N())
 	}
-	for _, e := range g.Edges() {
-		u, v := e[0], e[1]
-		if r.Done[u] && r.Done[v] && r.Outputs[u] == r.Outputs[v] {
-			return fmt.Errorf("check: improper coloring on %s: nodes %d and %d both output %d", g.Name(), u, v, r.Outputs[u])
+	// Walk each edge once, as u < v, in Edges' order, without building the
+	// edge list: the model checker calls this at every explored state.
+	for u := 0; u < g.N(); u++ {
+		if !r.Done[u] {
+			continue
+		}
+		for _, v := range g.Neighbors(u) {
+			if u < v && r.Done[v] && r.Outputs[u] == r.Outputs[v] {
+				return fmt.Errorf("check: improper coloring on %s: nodes %d and %d both output %d", g.Name(), u, v, r.Outputs[u])
+			}
 		}
 	}
 	return nil

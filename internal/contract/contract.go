@@ -81,6 +81,10 @@ func (k LivenessKind) String() string {
 
 // Property is one named safety predicate over an execution outcome. The
 // name is the provenance label a violation carries (e.g. "proper-edge").
+//
+// Check must treat r as read-only and must not keep r or its slices past
+// the call: the model checker passes a sim.Engine.View whose slices alias
+// the live engine, so a write would change the explored configuration.
 type Property struct {
 	Name  string
 	Check func(g graph.Graph, r sim.Result) error
@@ -101,7 +105,9 @@ type Contract interface {
 	// Properties lists the named safety predicates in evaluation order.
 	Properties() []Property
 	// Safety evaluates the properties against one outcome and returns the
-	// first violation, or nil.
+	// first violation, or nil. r may alias engine storage (the model
+	// checker passes sim.Engine.View): Safety must treat it as read-only
+	// and must not keep r or its slices past the call.
 	Safety(g graph.Graph, r sim.Result) error
 	// Labeled reports whether violations and verdict lines carry
 	// contract/property provenance labels. Bare contracts return false

@@ -11,6 +11,7 @@ import (
 	"asynccycle/internal/core"
 	"asynccycle/internal/graph"
 	"asynccycle/internal/ids"
+	"asynccycle/internal/protocol"
 	"asynccycle/internal/sim"
 )
 
@@ -66,6 +67,48 @@ func TestStepAndHashZeroAllocs(t *testing.T) {
 		assertStepZeroAllocs(t, e, n)
 		assertHashZeroAllocs(t, e)
 	})
+}
+
+// assertExpansionZeroAllocs pins one warm step of the model checker's DFS
+// expansion: CloneInto a recycled engine, Step one process, key the child
+// by its canonical fingerprint, then evaluate the registry's invariant,
+// whose body is the protocol's contract over the engine's no-copy View.
+func assertExpansionZeroAllocs[V any](t *testing.T, name string, nodes []sim.Node[V]) {
+	t.Helper()
+	d, err := protocol.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(nodes)
+	g := graph.MustCycle(n)
+	parent, err := sim.NewEngine(g, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent.Step([]int{1})
+	parent.CanonicalFingerprintHash128()
+	child := parent.Clone()
+	set := make([]int, 1)
+	step := 0
+	if a := testing.AllocsPerRun(200, func() {
+		parent.CloneInto(child)
+		set[0] = step % n
+		child.Step(set)
+		child.CanonicalFingerprintHash128()
+		if err := d.Contract.Safety(g, child.View()); err != nil {
+			t.Fatal(err)
+		}
+		step++
+	}); a != 0 {
+		t.Errorf("warm expansion step allocates %v/op, want 0", a)
+	}
+}
+
+func TestExpansionStepZeroAllocs(t *testing.T) {
+	xs := []int{3, 0, 4, 1, 2}
+	t.Run("six", func(t *testing.T) { assertExpansionZeroAllocs(t, "six", core.NewPairNodes(xs)) })
+	t.Run("five", func(t *testing.T) { assertExpansionZeroAllocs(t, "five", core.NewFiveNodes(xs)) })
+	t.Run("fast", func(t *testing.T) { assertExpansionZeroAllocs(t, "fast", core.NewFastNodes(xs)) })
 }
 
 // TestHashMatchesFingerprintEquality spot-checks the Hashable contract on

@@ -159,6 +159,15 @@ func (p *Pair) Clone() sim.Node[PairVal] {
 	return &cp
 }
 
+// CopyInto implements sim.Copier.
+func (p *Pair) CopyInto(dst any) bool {
+	d, ok := dst.(*Pair)
+	if ok {
+		*d = *p
+	}
+	return ok
+}
+
 // HashFingerprint implements sim.Hashable.
 func (p *Pair) HashFingerprint(h *sim.FPHasher) {
 	h.HashInt(p.x)
@@ -166,7 +175,10 @@ func (p *Pair) HashFingerprint(h *sim.FPHasher) {
 	h.HashInt(p.b)
 }
 
-var _ sim.Node[PairVal] = (*Pair)(nil)
+var (
+	_ sim.Node[PairVal] = (*Pair)(nil)
+	_ sim.Copier        = (*Pair)(nil)
+)
 
 // NewPairNodes builds one Pair process per identifier, as engine-ready
 // nodes.
@@ -251,6 +263,15 @@ func (f *Five) Clone() sim.Node[FiveVal] {
 	return &cp
 }
 
+// CopyInto implements sim.Copier.
+func (f *Five) CopyInto(dst any) bool {
+	d, ok := dst.(*Five)
+	if ok {
+		*d = *f
+	}
+	return ok
+}
+
 // HashFingerprint implements sim.Hashable.
 func (f *Five) HashFingerprint(h *sim.FPHasher) {
 	h.HashInt(f.x)
@@ -258,7 +279,10 @@ func (f *Five) HashFingerprint(h *sim.FPHasher) {
 	h.HashInt(f.b)
 }
 
-var _ sim.Node[FiveVal] = (*Five)(nil)
+var (
+	_ sim.Node[FiveVal] = (*Five)(nil)
+	_ sim.Copier        = (*Five)(nil)
+)
 
 // NewFiveNodes builds one Five process per identifier, as engine-ready
 // nodes.
@@ -419,6 +443,15 @@ func (f *Fast) Clone() sim.Node[FastVal] {
 	return &cp
 }
 
+// CopyInto implements sim.Copier.
+func (f *Fast) CopyInto(dst any) bool {
+	d, ok := dst.(*Fast)
+	if ok {
+		*d = *f
+	}
+	return ok
+}
+
 // HashFingerprint implements sim.Hashable.
 func (f *Fast) HashFingerprint(h *sim.FPHasher) {
 	h.HashInt(f.x)
@@ -428,7 +461,10 @@ func (f *Fast) HashFingerprint(h *sim.FPHasher) {
 	h.HashInt(f.b)
 }
 
-var _ sim.Node[FastVal] = (*Fast)(nil)
+var (
+	_ sim.Node[FastVal] = (*Fast)(nil)
+	_ sim.Copier        = (*Fast)(nil)
+)
 
 // NewFastNodes builds one Fast process per identifier, as engine-ready
 // nodes.

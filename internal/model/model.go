@@ -276,6 +276,7 @@ type explorer[V any] struct {
 	ck        *runctl.Checker  // nil when un-budgeted (zero polling cost)
 	met       *metrics.Run     // nil when observability is off
 	free      []*sim.Engine[V] // discarded branch engines, recycled by CloneInto
+	exp       expansions       // per-depth working and activation sets
 
 	// spill, when non-nil, replaces the in-RAM visited table with the
 	// out-of-core fingerprint set (Options.SpillDir); spillDir is the
@@ -531,14 +532,15 @@ func (x *explorer[V]) dfs(e *sim.Engine[V], depth int) {
 		return
 	}
 
-	working := workingSet(e)
-	if len(working) == 0 {
+	b := x.exp.at(depth)
+	b.working = e.AppendWorking(b.working[:0])
+	if len(b.working) == 0 {
 		// All remaining processes crashed: nothing can evolve.
 		return
 	}
 	x.onStack.put(k.h1, k.h2, strFn, struct{}{})
 	x.pathFPs = append(x.pathFPs, k)
-	for _, subset := range subsets(working, x.opt.SingletonsOnly) {
+	for _, subset := range b.activationSets(x.opt.SingletonsOnly) {
 		child := x.clone(e)
 		child.Step(subset)
 		x.path = append(x.path, subset)
@@ -593,6 +595,7 @@ type worst[V any] struct {
 	zero      []int // shared all-zeros vector; callers must not mutate results
 	rotBuf    []int // scratch for rotating memo vectors back into query frames
 	free      []*sim.Engine[V]
+	exp       expansions // per-depth working and activation sets
 	interrupt bool
 	ck        *runctl.Checker
 	met       *metrics.Run
@@ -706,8 +709,9 @@ func (w *worst[V]) dfs(e *sim.Engine[V], depth int) []int {
 		w.report.noteStop(runctl.StopMaxStates)
 		return w.zero
 	}
-	working := workingSet(e)
-	if len(working) == 0 {
+	b := w.exp.at(depth)
+	b.working = e.AppendWorking(b.working[:0])
+	if len(b.working) == 0 {
 		w.memo.put(k.h1, k.h2, strFn, w.zero)
 		if w.canon {
 			w.report.WeightedStates += int64(orbit)
@@ -716,7 +720,7 @@ func (w *worst[V]) dfs(e *sim.Engine[V], depth int) []int {
 	}
 	w.onSt.put(k.h1, k.h2, strFn, struct{}{})
 	best := make([]int, n)
-	for _, subset := range subsets(working, w.opt.SingletonsOnly) {
+	for _, subset := range b.activationSets(w.opt.SingletonsOnly) {
 		child := w.clone(e)
 		// performed is child's scratch, valid here because child takes no
 		// further step of its own (the recursion steps fresh clones).
@@ -767,23 +771,63 @@ func workingSet[V any](e *sim.Engine[V]) []int {
 // subsets enumerates the allowed activation sets over the working
 // processes: all non-empty subsets, or singletons only.
 func subsets(working []int, singletonsOnly bool) [][]int {
+	b := expansion{working: working}
+	return b.activationSets(singletonsOnly)
+}
+
+// expansion is one DFS depth's reusable storage for the working set of the
+// state expanded there and the activation sets over it, so the serial DFS
+// allocates neither per state. The sets stay valid while the state's
+// children are explored (the path refers to them); the next state
+// expanded at the same depth overwrites them.
+type expansion struct {
+	working []int
+	sets    [][]int
+	flat    []int // backing storage of sets
+}
+
+// activationSets enumerates the allowed activation sets over b.working
+// into b's storage: all non-empty subsets in mask order, or singletons
+// only. Each set is capped at its own length, so appending to one never
+// clobbers the next.
+func (b *expansion) activationSets(singletonsOnly bool) [][]int {
+	b.sets = b.sets[:0]
 	if singletonsOnly {
-		out := make([][]int, len(working))
-		for i, p := range working {
-			out[i] = []int{p}
+		b.flat = append(b.flat[:0], b.working...)
+		for i := range b.flat {
+			b.sets = append(b.sets, b.flat[i:i+1:i+1])
 		}
-		return out
+		return b.sets
 	}
-	w := len(working)
-	out := make([][]int, 0, (1<<w)-1)
+	w := len(b.working)
+	if w == 0 {
+		return b.sets
+	}
+	// Every process is in half of the 2^w subsets. Sizing flat up front
+	// keeps appends from moving the sets already cut from it.
+	if size := w << (w - 1); cap(b.flat) < size {
+		b.flat = make([]int, 0, size)
+	}
+	flat := b.flat[:0]
 	for mask := 1; mask < 1<<w; mask++ {
-		var set []int
-		for i := 0; i < w; i++ {
+		start := len(flat)
+		for i, p := range b.working {
 			if mask&(1<<i) != 0 {
-				set = append(set, working[i])
+				flat = append(flat, p)
 			}
 		}
-		out = append(out, set)
+		b.sets = append(b.sets, flat[start:len(flat):len(flat)])
 	}
-	return out
+	b.flat = flat
+	return b.sets
+}
+
+// expansions holds one expansion per DFS depth, allocated on first use.
+type expansions []*expansion
+
+func (s *expansions) at(depth int) *expansion {
+	for len(*s) <= depth {
+		*s = append(*s, new(expansion))
+	}
+	return (*s)[depth]
 }

@@ -72,6 +72,7 @@ type Set struct {
 	runs  []*runFile
 	n     int64
 	seq   int
+	page  []byte // runContains' read buffer, reused across probes
 
 	// stats
 	spilled     int64 // records sealed into runs (cumulative, pre-merge)
@@ -195,7 +196,9 @@ func (s *Set) flush() error {
 	}
 	s.runs = append(s.runs, r)
 	s.spilled += int64(len(keys))
-	s.delta = make(map[Key]struct{})
+	// clear keeps the table's capacity, so the next delta refills it
+	// without regrowing from empty: a spill leaves no table garbage.
+	clear(s.delta)
 	if len(s.runs) > maxRuns {
 		return s.compact()
 	}
@@ -268,7 +271,10 @@ func (s *Set) runContains(r *runFile, k Key) (bool, error) {
 	if n > recordsPerPage {
 		n = recordsPerPage
 	}
-	buf := make([]byte, n*recordSize)
+	if s.page == nil {
+		s.page = make([]byte, recordsPerPage*recordSize)
+	}
+	buf := s.page[:n*recordSize]
 	if _, err := r.f.ReadAt(buf, int64(start)*recordSize); err != nil {
 		return false, fmt.Errorf("ooc: read run page: %w", err)
 	}
@@ -349,6 +355,7 @@ func (s *Set) compact() error {
 // runReader streams one run's records in order during compaction.
 type runReader struct {
 	br  *bufio.Reader
+	rec [recordSize]byte // next's read buffer; a local would escape per record
 	cur Key
 	ok  bool
 }
@@ -362,8 +369,8 @@ func newRunReader(r *runFile) (*runReader, error) {
 }
 
 func (rd *runReader) next() error {
-	var rec [recordSize]byte
-	if _, err := io.ReadFull(rd.br, rec[:]); err != nil {
+	rec := rd.rec[:]
+	if _, err := io.ReadFull(rd.br, rec); err != nil {
 		rd.ok = false
 		if err == io.EOF {
 			return nil

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -74,6 +75,90 @@ func TestSetDuplicatesAcrossRuns(t *testing.T) {
 	}
 	if s.Len() != int64(len(keys)) {
 		t.Fatalf("Len=%d want %d", s.Len(), len(keys))
+	}
+}
+
+// A probe that reads a run page reuses the set's page buffer: re-adding
+// spilled keys (each passes its run's bloom filter and reads one page)
+// allocates nothing, so a checker spilling at a high rate leaves no page
+// garbage behind.
+func TestSetPageReadsDoNotAllocate(t *testing.T) {
+	s, err := NewSet(t.TempDir(), 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	keys := make([]Key, 3000)
+	rng := rand.New(rand.NewSource(3))
+	for i := range keys {
+		keys[i] = Key{H1: rng.Uint64(), H2: rng.Uint64()}
+		if _, err := s.Add(keys[i].H1, keys[i].H2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		k := keys[i%len(keys)]
+		i++
+		if added, err := s.Add(k.H1, k.H2); err != nil || added {
+			t.Fatalf("re-add: added=%t err=%v", added, err)
+		}
+	})
+	if s.Stats().PageReads == 0 {
+		t.Fatal("no probe read a page")
+	}
+	if allocs != 0 {
+		t.Errorf("re-adding a spilled key allocates %v/op, want 0", allocs)
+	}
+}
+
+// A spill keeps the delta's table: refilling it with fresh keys up to
+// the next spill allocates nothing, so a checker spilling at a high rate
+// does not regrow (and discard) a table per run.
+func TestSetRefillAfterSpillDoesNotAllocate(t *testing.T) {
+	const limit = 1000
+	s, err := NewSet(t.TempDir(), limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rng := rand.New(rand.NewSource(5))
+	first := Key{H1: rng.Uint64(), H2: rng.Uint64()}
+	if _, err := s.Add(first.H1, first.H2); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < limit; i++ {
+		if _, err := s.Add(rng.Uint64(), rng.Uint64()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.Runs != 1 || st.Resident != 0 {
+		t.Fatalf("after %d adds: %+v, want one run and an empty delta", limit, st)
+	}
+	// A duplicate probe reads a page, allocating the set's page buffer
+	// before the count starts.
+	if added, err := s.Add(first.H1, first.H2); err != nil || added {
+		t.Fatalf("re-add: added=%t err=%v", added, err)
+	}
+	keys := make([]Key, limit-1)
+	for i := range keys {
+		keys[i] = Key{H1: rng.Uint64(), H2: rng.Uint64()}
+	}
+	// Count the whole refill: AllocsPerRun's per-call average would round
+	// a table's few growth allocations down to 0.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, k := range keys {
+		if added, err := s.Add(k.H1, k.H2); err != nil || !added {
+			t.Fatalf("fresh add: added=%t err=%v", added, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if st := s.Stats(); st.Runs != 1 || st.Resident != limit-1 {
+		t.Fatalf("refill spilled: %+v", st)
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("refilling the delta after a spill made %d allocations, want 0", n)
 	}
 }
 

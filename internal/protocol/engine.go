@@ -130,9 +130,11 @@ func deriveEngine[V any](d *Descriptor, s EngineSpec[V]) {
 		return conc.Run(g, s.New(xs), o)
 	}
 
+	// The invariant reads the engine through its no-copy View: Safety
+	// returns before the checker steps the engine again and keeps nothing.
 	invariant := func(g graph.Graph) model.Invariant[V] {
 		safety := d.Contract.Safety
-		return func(e *sim.Engine[V]) error { return safety(g, e.Result()) }
+		return func(e *sim.Engine[V]) error { return safety(g, e.View()) }
 	}
 
 	d.Check = func(xs []int, mode sim.Mode, opt model.Options) (model.Report, error) {

@@ -6,10 +6,10 @@
 // steps; interleaved multi-element sets execute in ascending index order
 // and are *not* equivariant, which is why the model checker only enables
 // canonicalization in configurations it has proven safe — see
-// internal/model and DESIGN.md §6). The canonical fingerprint is the
-// minimum of the n rotated fingerprints: rotationally equivalent
-// configurations collapse to a single key, with the orbit size recovered
-// exactly from the multiplicity of the minimum.
+// internal/model and DESIGN.md §6). Rotating a configuration rotates its
+// sequence of per-node digests, so the fingerprint of the least rotation
+// of that sequence is shared by the whole rotation orbit, and the orbit
+// size is the sequence's smallest period.
 //
 // Reflections are deliberately excluded here: they reverse neighbor-list
 // order, so they are automorphisms of the *algorithms* (which are
@@ -18,41 +18,59 @@
 // identifier assignments (graph.CanonicalAssignment).
 package sim
 
-// CanonicalFingerprintHash128 returns the minimum over all n rotations of
-// FingerprintHashRotated — a fingerprint shared by every rotationally
-// equivalent configuration — together with the argmin rotation rot (the
+import "cmp"
+
+// CanonicalFingerprintHash128 returns the fingerprint of the least
+// rotation of the node-digest sequence — shared by every rotationally
+// equivalent configuration — together with that rotation rot (the
 // smallest k attaining the minimum; position j of the canonical frame
 // carries process (j+rot) mod n) and the exact rotation-orbit size
-// n/|stabilizer|, recovered from the multiplicity of the minimal hash.
+// n/|stabilizer|, which is the sequence's smallest period.
 //
-// The n rotated hashes live in engine-owned scratch, so a warmed-up engine
-// canonicalizes without allocating. Cost is n full fingerprint streams.
+// The rotations are compared directly on the cached digests: on hash
+// words the first compared word almost always decides, so the expected
+// cost is O(n) word comparisons plus one fold, without allocating.
 func (e *Engine[V]) CanonicalFingerprintHash128() (h1, h2 uint64, rot, orbit int) {
-	n := len(e.nodes)
-	if cap(e.rotH) < 2*n {
-		e.rotH = make([]uint64, 2*n)
-	}
-	rh := e.rotH[:2*n]
-	for k := 0; k < n; k++ {
-		a, b := e.FingerprintHashRotated(k)
-		rh[2*k], rh[2*k+1] = a, b
-	}
-	rot = 0
+	d := e.digests()
+	n := len(d)
+	orbit = n
 	for k := 1; k < n; k++ {
-		if rh[2*k] < rh[2*rot] || (rh[2*k] == rh[2*rot] && rh[2*k+1] < rh[2*rot+1]) {
+		switch c := cmpRotations(d, k, rot); {
+		case c < 0:
 			rot = k
+		case c == 0 && orbit == n:
+			// The first tie is rot + p for the smallest period p: a tie
+			// makes k-rot a period, and rotation rot+p ties rot, so no
+			// earlier k can. By then rot covers a whole period, so it is
+			// the global minimum and never moves again.
+			orbit = k - rot
 		}
 	}
-	mult := 0
-	for k := 0; k < n; k++ {
-		if rh[2*k] == rh[2*rot] && rh[2*k+1] == rh[2*rot+1] {
-			mult++
+	h1, h2 = e.FingerprintHashRotated(rot)
+	return h1, h2, rot, orbit
+}
+
+// cmpRotations compares the digest sequence rotated by k with the one
+// rotated by r, lexicographically (lane A first, then lane B), returning
+// -1, 0 or +1.
+func cmpRotations(d []digest, k, r int) int {
+	n := len(d)
+	for j := 0; j < n; j++ {
+		x, y := d[k], d[r]
+		switch {
+		case x.a != y.a:
+			return cmp.Compare(x.a, y.a)
+		case x.b != y.b:
+			return cmp.Compare(x.b, y.b)
+		}
+		if k++; k == n {
+			k = 0
+		}
+		if r++; r == n {
+			r = 0
 		}
 	}
-	// The stabilizer is a subgroup of Z_n, so its order divides n; a lane
-	// collision could in principle inflate mult, which integer division
-	// absorbs rather than panicking over.
-	return rh[2*rot], rh[2*rot+1], rot, n / mult
+	return 0
 }
 
 // CanonicalFingerprintInfo is the exact string-mode counterpart of

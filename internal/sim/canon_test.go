@@ -78,35 +78,83 @@ func TestRotatedFingerprintMatchesRelabeledEngine(t *testing.T) {
 	}
 }
 
-// TestCanonicalOrbitSize: a rotation-symmetric configuration has orbit 1;
-// breaking the symmetry at one position makes the orbit full-sized.
+// TestCanonicalOrbitSize pins the orbit size to the digest sequence's
+// smallest period and rot to the smallest index attaining the least
+// rotation: the rotations whose fingerprint equals the canonical one are
+// exactly rot, rot+orbit, rot+2·orbit, … The string oracle must agree on
+// every orbit, and a step that breaks a symmetry makes the orbit full.
 func TestCanonicalOrbitSize(t *testing.T) {
-	n := 6
-	e := newHashEngine(t, n)
-	// Make all node states identical so the initial configuration is
-	// invariant under every rotation. newHashEngine seeds x=i, so overwrite
-	// by stepping nobody — instead build uniform nodes directly.
-	nodes := make([]sim.Node[hashVal], n)
-	for i := range nodes {
-		nodes[i] = &hashNode{x: 7}
+	cases := []struct {
+		name  string
+		xs    []int
+		steps [][]int
+		orbit int
+	}{
+		{"uniform C6", []int{7, 7, 7, 7, 7, 7}, nil, 1},
+		{"uniform C6 after stepping node 0", []int{7, 7, 7, 7, 7, 7}, [][]int{{0}}, 6},
+		{"period-2 C6", []int{1, 2, 1, 2, 1, 2}, nil, 2},
+		{"period-2 C6 shifted", []int{2, 1, 2, 1, 2, 1}, nil, 2},
+		{"period-2 C6 after a rotation-invariant step", []int{1, 2, 1, 2, 1, 2}, [][]int{{0, 2, 4}}, 2},
+		{"period-3 C6", []int{3, 1, 2, 3, 1, 2}, nil, 3},
+		{"distinct C6", []int{5, 0, 3, 1, 4, 2}, nil, 6},
+		{"distinct C5", []int{3, 9, 1, 12, 6}, nil, 5},
+		{"repeated but aperiodic C6", []int{1, 1, 2, 1, 1, 3}, nil, 6},
 	}
-	var err error
-	e, err = sim.NewEngine(graph.MustCycle(n), nodes)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		n := len(tc.xs)
+		nodes := make([]sim.Node[hashVal], n)
+		for i, x := range tc.xs {
+			nodes[i] = &hashNode{x: x}
+		}
+		e, err := sim.NewEngine(graph.MustCycle(n), nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range tc.steps {
+			e.Step(s)
+		}
+		h1, h2, rot, orbit := e.CanonicalFingerprintHash128()
+		if orbit != tc.orbit {
+			t.Errorf("%s: orbit %d, want %d", tc.name, orbit, tc.orbit)
+		}
+		if tc.orbit == 1 && rot != 0 {
+			t.Errorf("%s: rot %d, want 0 for a rotation-invariant configuration", tc.name, rot)
+		}
+		sfp, srot, sorb := e.CanonicalFingerprintInfo()
+		if sorb != tc.orbit {
+			t.Errorf("%s: string oracle orbit %d, want %d", tc.name, sorb, tc.orbit)
+		}
+		if tc.orbit == 1 && srot != 0 {
+			t.Errorf("%s: string oracle rot %d, want 0 for a rotation-invariant configuration", tc.name, srot)
+		}
+		var ties, sties []int
+		for k := 0; k < n; k++ {
+			if a, b := e.FingerprintHashRotated(k); a == h1 && b == h2 {
+				ties = append(ties, k)
+			}
+			if e.FingerprintRotated(k) == sfp {
+				sties = append(sties, k)
+			}
+		}
+		checkTies(t, tc.name+" (hash)", n, rot, orbit, ties)
+		checkTies(t, tc.name+" (string)", n, srot, sorb, sties)
 	}
-	if _, _, rot, orbit := e.CanonicalFingerprintHash128(); orbit != 1 || rot != 0 {
-		t.Fatalf("uniform configuration: rot=%d orbit=%d, want 0/1", rot, orbit)
+}
+
+// checkTies asserts that the rotations attaining a canonical fingerprint
+// are exactly rot, rot+orbit, rot+2·orbit, …: n/orbit of them, the first
+// being rot.
+func checkTies(t *testing.T, name string, n, rot, orbit int, ties []int) {
+	t.Helper()
+	if len(ties) != n/orbit {
+		t.Errorf("%s: %d rotations attain the canonical fingerprint, want n/orbit = %d", name, len(ties), n/orbit)
+		return
 	}
-	if _, rot, orbit := e.CanonicalFingerprintInfo(); orbit != 1 || rot != 0 {
-		t.Fatalf("uniform configuration (string): rot=%d orbit=%d, want 0/1", rot, orbit)
-	}
-	e.Step([]int{0}) // node 0 now differs: only the identity fixes the config
-	if _, _, _, orbit := e.CanonicalFingerprintHash128(); orbit != n {
-		t.Fatalf("asymmetric configuration: orbit=%d, want %d", orbit, n)
-	}
-	if _, _, orbit := e.CanonicalFingerprintInfo(); orbit != n {
-		t.Fatalf("asymmetric configuration (string): orbit=%d, want %d", orbit, n)
+	for j, k := range ties {
+		if k != rot+j*orbit {
+			t.Errorf("%s: rot=%d orbit=%d, but the rotations attaining the minimum are %v", name, rot, orbit, ties)
+			return
+		}
 	}
 }
 

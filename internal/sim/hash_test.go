@@ -1,8 +1,11 @@
 package sim_test
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
+	"asynccycle/internal/core"
 	"asynccycle/internal/graph"
 	"asynccycle/internal/runctl"
 	"asynccycle/internal/schedule"
@@ -185,4 +188,161 @@ func TestFPHasherLanesIndependent(t *testing.T) {
 	if ab2 == ba2 {
 		t.Fatal("lane B ignores byte order")
 	}
+}
+
+// TestFingerprintLaneQuality is the quality gate for the word-wise lanes:
+// 10⁵ distinct, structured small-int configurations — a Five engine on C5
+// whose five registers each hold one of ten small (A, B) pairs, seeded
+// through SeedRegisters — hashed through the real digest-and-fold path.
+// Truncated to 20 bits (the low bits, which the visited tables and the
+// out-of-core bloom probes mask, and separately the high bits), each lane
+// must repeat keys as often as a uniform hash would: within 3σ of the
+// birthday expectation, ≈4,620 with σ ≈ 64 for 10⁵ keys in 2²⁰ slots. The
+// lane pair truncated to 20+20 bits expects ≈0.005 repeats and must show
+// none, which correlated lanes would fail.
+func TestFingerprintLaneQuality(t *testing.T) {
+	const n, keys, bits = 5, 100_000, 20
+	e, err := sim.NewEngine(graph.MustCycle(n), core.NewFiveNodes([]int{0, 1, 2, 3, 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const slots = 1 << bits
+	const low = slots - 1
+	type probe struct {
+		name string
+		key  func(h1, h2 uint64) uint64
+		seen map[uint64]bool
+		reps int
+	}
+	probes := []*probe{
+		{name: "lane A low", key: func(h1, _ uint64) uint64 { return h1 & low }},
+		{name: "lane A high", key: func(h1, _ uint64) uint64 { return h1 >> (64 - bits) }},
+		{name: "lane B low", key: func(_, h2 uint64) uint64 { return h2 & low }},
+		{name: "lane B high", key: func(_, h2 uint64) uint64 { return h2 >> (64 - bits) }},
+		{name: "lane pair low", key: func(h1, h2 uint64) uint64 { return (h1&low)<<bits | h2&low }},
+	}
+	vals := make([]core.FiveVal, n)
+	for c := 0; c < keys; c++ {
+		for i, d := 0, c; i < n; i, d = i+1, d/10 {
+			vals[i] = core.FiveVal{X: i, A: d % 10 % 5, B: d % 10 / 5}
+		}
+		if err := e.SeedRegisters(vals); err != nil {
+			t.Fatal(err)
+		}
+		h1, h2 := e.FingerprintHash128()
+		for _, p := range probes {
+			if p.seen == nil {
+				p.seen = make(map[uint64]bool, keys)
+			}
+			k := p.key(h1, h2)
+			if p.seen[k] {
+				p.reps++
+			}
+			p.seen[k] = true
+		}
+	}
+	// Repeats are keys minus occupied slots; for N keys thrown uniformly
+	// into M slots the occupied count has mean M(1-q₁) and variance
+	// Mq₁ + M(M-1)q₂ - M²q₁², with q₁ = (1-1/M)^N and q₂ = (1-2/M)^N.
+	N, M := float64(keys), float64(slots)
+	q1, q2 := math.Pow(1-1/M, N), math.Pow(1-2/M, N)
+	mean := N - M*(1-q1)
+	sigma := math.Sqrt(M*q1 + M*(M-1)*q2 - M*M*q1*q1)
+	for _, p := range probes[:4] {
+		t.Logf("%s: %d repeated keys (uniform: %.0f ± %.0f)", p.name, p.reps, mean, sigma)
+		if math.Abs(float64(p.reps)-mean) > 3*sigma {
+			t.Errorf("%s: %d repeated keys, want %.0f ± 3·%.0f", p.name, p.reps, mean, sigma)
+		}
+	}
+	if pair := probes[4]; pair.reps != 0 {
+		t.Errorf("%s: %d repeated keys in 2^%d slots, want none", pair.name, pair.reps, 2*bits)
+	}
+}
+
+// TestDigestCacheCoherence drives random schedules that also arm crash
+// limits, crash processes, seed registers and abandon through an empty
+// scheduler. After every operation three engines in the same
+// configuration must agree on both the plain and the canonical
+// fingerprint: the engine with its cached digests, its CloneInto copy in a
+// recycled engine (two engines alternate, so each copy lands on an engine
+// two operations behind), and a freshly built engine that replays every
+// operation and computes all its digests from scratch.
+func TestDigestCacheCoherence(t *testing.T) {
+	const n = 6
+	xs := []int{4, 0, 5, 2, 1, 3}
+	build := func() *sim.Engine[core.FiveVal] {
+		e, err := sim.NewEngine(graph.MustCycle(n), core.NewFiveNodes(xs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	type op func(*sim.Engine[core.FiveVal])
+	rng := rand.New(rand.NewSource(1))
+	kinds := map[string]int{}
+	for trial := 0; trial < 200; trial++ {
+		e, pool := build(), [2]*sim.Engine[core.FiveVal]{build(), build()}
+		var ops []op
+		for len(ops) < 40 && !e.AllSettled() {
+			var o op
+			switch i, r := rng.Intn(n), rng.Intn(12); {
+			case r == 0:
+				k := rng.Intn(3)
+				o = func(e *sim.Engine[core.FiveVal]) { e.CrashAfter(i, e.Activations(i)+k) }
+				kinds["CrashAfter"]++
+			case r == 1:
+				o = func(e *sim.Engine[core.FiveVal]) { e.Crash(i) }
+				kinds["Crash"]++
+			case r == 2:
+				vals := make([]core.FiveVal, n)
+				for j := range vals {
+					vals[j] = core.FiveVal{X: xs[j], A: rng.Intn(3), B: rng.Intn(3)}
+				}
+				o = func(e *sim.Engine[core.FiveVal]) {
+					if err := e.SeedRegisters(vals); err != nil {
+						t.Fatal(err)
+					}
+				}
+				kinds["SeedRegisters"]++
+			case r == 3 && len(ops) > 5:
+				o = func(e *sim.Engine[core.FiveVal]) { e.RunBudget(nil, emptyScheduler{}, runctl.Budget{}) }
+				kinds["abandon"]++
+			default:
+				var set []int
+				for j := 0; j < n; j++ {
+					if j == i || rng.Intn(4) == 0 {
+						set = append(set, j)
+					}
+				}
+				o = func(e *sim.Engine[core.FiveVal]) { e.Step(set) }
+				kinds["Step"]++
+			}
+			o(e)
+			ops = append(ops, o)
+			recycled := e.CloneInto(pool[len(ops)%2])
+			fresh := build()
+			for _, o := range ops {
+				o(fresh)
+			}
+			if e.Fingerprint() != fresh.Fingerprint() {
+				t.Fatalf("trial %d op %d: replay reached a different configuration", trial, len(ops))
+			}
+			want1, want2 := fresh.FingerprintHash128()
+			wc1, wc2, wrot, worb := fresh.CanonicalFingerprintHash128()
+			for name, x := range map[string]*sim.Engine[core.FiveVal]{"engine": e, "CloneInto copy": recycled} {
+				if h1, h2 := x.FingerprintHash128(); h1 != want1 || h2 != want2 {
+					t.Fatalf("trial %d op %d: %s fingerprint (%x,%x), fresh engine (%x,%x)", trial, len(ops), name, h1, h2, want1, want2)
+				}
+				if c1, c2, rot, orb := x.CanonicalFingerprintHash128(); c1 != wc1 || c2 != wc2 || rot != wrot || orb != worb {
+					t.Fatalf("trial %d op %d: %s canonical fingerprint differs from the fresh engine's", trial, len(ops), name)
+				}
+			}
+		}
+	}
+	for _, k := range []string{"Step", "CrashAfter", "Crash", "SeedRegisters", "abandon"} {
+		if kinds[k] == 0 {
+			t.Errorf("no %s operation was exercised", k)
+		}
+	}
+	t.Logf("operations exercised: %v", kinds)
 }

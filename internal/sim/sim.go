@@ -24,6 +24,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -65,6 +66,18 @@ type Node[V any] interface {
 	// Clone returns a deep copy, used by the bounded model checker to
 	// branch executions.
 	Clone() Node[V]
+}
+
+// Copier is optionally implemented by node types so that CloneInto can
+// overwrite a recycled engine's node storage in place instead of
+// allocating a Clone per node. It is not generic over the register type:
+// asserting a node to an interface that does not depend on V stays a
+// cached check on the hot path.
+type Copier interface {
+	// CopyInto overwrites dst, a node of the same engine, with a deep copy
+	// of the receiver and reports true, or reports false without touching
+	// dst when dst has a different concrete type.
+	CopyInto(dst any) bool
 }
 
 // Result summarizes a finished (or aborted) execution.
@@ -155,7 +168,9 @@ type Engine[V any] struct {
 	crashed []bool
 	outputs []int
 	acts    []int
-	limits  []int // crash after this many activations; <0 = never
+	limits  []int    // crash after this many activations; <0 = never
+	dig     []digest // per-node content digests, valid where !stale
+	stale   []bool   // stale[i]: process i changed since dig[i] was computed
 	t       int
 	mode    Mode
 	hooks   []Hook[V]
@@ -168,7 +183,7 @@ type Engine[V any] struct {
 	performedBuf []int     // Step's result slice
 	inSetBuf     []bool    // Step's dedup marks, cleared after use
 	fph          FPHasher  // FingerprintHash's streaming state
-	rotH         []uint64  // canonical fingerprint scratch: 2n rotated hash lanes
+	valsBuf      []int     // View's Values
 
 	// recordValues opts Result snapshots into carrying the register
 	// contents (Result.Values) for int-registered engines; off by default
@@ -194,10 +209,13 @@ func NewEngine[V any](g graph.Graph, nodes []Node[V]) (*Engine[V], error) {
 		outputs: make([]int, n),
 		acts:    make([]int, n),
 		limits:  make([]int, n),
+		dig:     make([]digest, n),
+		stale:   make([]bool, n),
 	}
 	for i := range e.outputs {
 		e.outputs[i] = -1
 		e.limits[i] = -1
+		e.stale[i] = true
 	}
 	return e, nil
 }
@@ -222,13 +240,17 @@ func (e *Engine[V]) Mode() Mode { return e.mode }
 // rounds (k == 0 means it never wakes). It overrides any previous limit.
 func (e *Engine[V]) CrashAfter(i, k int) {
 	e.limits[i] = k
+	e.stale[i] = true
 	if k <= e.acts[i] {
 		e.crashed[i] = true
 	}
 }
 
 // Crash immediately crashes process i.
-func (e *Engine[V]) Crash(i int) { e.crashed[i] = true }
+func (e *Engine[V]) Crash(i int) {
+	e.crashed[i] = true
+	e.stale[i] = true
+}
 
 // SetRecordValues opts Result snapshots into carrying the register
 // contents as Result.Values. Meaningful only for engines whose register
@@ -248,6 +270,7 @@ func (e *Engine[V]) SeedRegisters(vals []V) error {
 	}
 	for i, v := range vals {
 		e.regs[i] = Cell[V]{Present: true, Val: v}
+		e.stale[i] = true
 	}
 	return nil
 }
@@ -385,6 +408,7 @@ func (e *Engine[V]) observe(i int) {
 	}
 	dec := e.nodes[i].Observe(view)
 	e.acts[i]++
+	e.stale[i] = true
 	if dec.Return {
 		e.done[i] = true
 		e.outputs[i] = dec.Output
@@ -416,7 +440,7 @@ func (e *Engine[V]) Run(s schedule.Scheduler, maxSteps int) (Result, error) {
 // a zero budget, RunBudget behaves exactly like Run with no step limit.
 func (e *Engine[V]) RunBudget(ctx context.Context, s schedule.Scheduler, b runctl.Budget) (Result, runctl.StopReason) {
 	reason, _ := runctl.Drive(ctx, b, &driver[V]{e: e, s: s})
-	return e.result(), reason
+	return e.Result(), reason
 }
 
 // driver binds an engine to the scheduler of one run for runctl.Drive.
@@ -438,12 +462,36 @@ func (d *driver[V]) Advance(int64) (int, error) {
 func (d *driver[V]) Abandon() {
 	for i := range d.e.crashed {
 		if d.e.Working(i) {
-			d.e.crashed[i] = true
+			d.e.Crash(i)
 		}
 	}
 }
 
-func (e *Engine[V]) result() Result {
+// View returns the current execution state as a Result without copying:
+// its slices alias the engine's own storage (Values its scratch) and are
+// valid only until the engine's next Step or other mutation. Callers must
+// not modify them; use Result for a snapshot that outlives the engine's
+// next move.
+func (e *Engine[V]) View() Result {
+	r := Result{
+		Outputs:     e.outputs,
+		Done:        e.done,
+		Crashed:     e.crashed,
+		Activations: e.acts,
+		Steps:       e.t,
+	}
+	if e.recordValues {
+		r.Values = e.appendValues(e.valsBuf[:0])
+		if r.Values != nil {
+			e.valsBuf = r.Values
+		}
+	}
+	return r
+}
+
+// Result snapshots the current execution state as a Result, even if the
+// execution has not settled.
+func (e *Engine[V]) Result() Result {
 	r := Result{
 		Outputs:     append([]int(nil), e.outputs...),
 		Done:        append([]bool(nil), e.done...),
@@ -452,60 +500,72 @@ func (e *Engine[V]) result() Result {
 		Steps:       e.t,
 	}
 	if e.recordValues {
-		vals := make([]int, len(e.regs))
-		for i, c := range e.regs {
-			switch v, ok := any(c.Val).(int); {
-			case !ok:
-				vals = nil
-			case !c.Present:
-				vals[i] = -1
-			default:
-				vals[i] = v
-			}
-			if vals == nil {
-				break
-			}
-		}
-		r.Values = vals
+		r.Values = e.appendValues(make([]int, 0, len(e.regs)))
 	}
 	return r
 }
 
-// Result snapshots the current execution state as a Result, even if the
-// execution has not settled.
-func (e *Engine[V]) Result() Result { return e.result() }
+// appendValues appends the register contents (-1 for ⊥) to buf and
+// returns the appended part, or nil when the register type is not int.
+func (e *Engine[V]) appendValues(buf []int) []int {
+	start := len(buf)
+	for _, c := range e.regs {
+		v, ok := any(c.Val).(int)
+		switch {
+		case !ok:
+			return nil
+		case !c.Present:
+			v = -1
+		}
+		buf = append(buf, v)
+	}
+	return buf[start:len(buf):len(buf)]
+}
 
 // Clone deep-copies the engine (including node states via Node.Clone), for
 // use by the bounded model checker.
 func (e *Engine[V]) Clone() *Engine[V] { return e.CloneInto(nil) }
 
-// CloneInto deep-copies e into dst, reusing dst's slice storage where its
+// CloneInto deep-copies e into dst, reusing dst's storage where its
 // capacities allow — the model checker recycles discarded branch engines
-// through a free list, cutting the steady-state allocations of exploration
-// to the per-node state clones. dst == nil (or a fresh engine) behaves
-// like Clone. dst's scratch buffers are kept as its own; hooks are
+// through a free list, so the steady state of exploration allocates
+// nothing. Nodes implementing Copier are copied into dst's own node
+// structs in place, so dst must own its nodes: never pass an engine whose
+// node state machines are still referenced elsewhere (an engine built by
+// NewEngine from nodes the caller kept, say). Engines produced by Clone or
+// CloneInto own theirs. dst == nil (or a fresh engine) behaves like
+// Clone. dst's scratch buffers are kept as its own; hooks are
 // deliberately not copied, so checker branches stay silent. Returns dst.
 func (e *Engine[V]) CloneInto(dst *Engine[V]) *Engine[V] {
 	if dst == nil {
 		dst = &Engine[V]{}
 	}
-	dst.g = e.g
-	dst.nodes = append(dst.nodes[:0], e.nodes...)
+	n := len(e.nodes)
+	owned := min(len(dst.nodes), n)
+	dst.nodes = slices.Grow(dst.nodes[:owned], n-owned)[:n]
 	for i, nd := range e.nodes {
+		if i < owned {
+			if c, ok := nd.(Copier); ok && c.CopyInto(dst.nodes[i]) {
+				continue
+			}
+		}
 		dst.nodes[i] = nd.Clone()
 	}
+	dst.g = e.g
 	dst.regs = append(dst.regs[:0], e.regs...)
 	dst.done = append(dst.done[:0], e.done...)
 	dst.crashed = append(dst.crashed[:0], e.crashed...)
 	dst.outputs = append(dst.outputs[:0], e.outputs...)
 	dst.acts = append(dst.acts[:0], e.acts...)
 	dst.limits = append(dst.limits[:0], e.limits...)
+	dst.dig = append(dst.dig[:0], e.dig...)
+	dst.stale = append(dst.stale[:0], e.stale...)
 	dst.t = e.t
 	dst.mode = e.mode
 	dst.recordValues = e.recordValues
 	dst.hooks = nil
 	dst.met = nil
-	if dst.inSetBuf != nil && len(dst.inSetBuf) != len(e.nodes) {
+	if dst.inSetBuf != nil && len(dst.inSetBuf) != n {
 		dst.inSetBuf = nil // sized per instance; re-lazily allocated
 	} else {
 		// Step leaves the dedup marks cleared, but a caller scribbling on a
