@@ -84,33 +84,8 @@ func runContext(root context.Context, args []string, w, ew io.Writer) error {
 		ctx, cancel = context.WithTimeout(root, *timeout)
 		defer cancel()
 	}
-	var met *metrics.Run
-	if *progress > 0 || *metricsJSON != "" {
-		met = metrics.NewRun()
-	}
-	if *progress > 0 {
-		defer metrics.StartProgress(ew, *progress, met)()
-	}
-	if *metricsJSON != "" {
-		defer func() {
-			out := ew
-			var f *os.File
-			if *metricsJSON != "-" {
-				var err error
-				if f, err = os.Create(*metricsJSON); err != nil {
-					fmt.Fprintln(ew, "experiments: metrics:", err)
-					return
-				}
-				out = f
-			}
-			if err := met.Snapshot().WriteJSON(out); err != nil {
-				fmt.Fprintln(ew, "experiments: metrics:", err)
-			}
-			if f != nil {
-				f.Close()
-			}
-		}()
-	}
+	met, finishMetrics := metrics.StartCLI(ew, "experiments", *progress, *metricsJSON)
+	defer finishMetrics()
 
 	var render func(*expt.Table) error
 	switch *format {

@@ -155,33 +155,8 @@ func runContext(ctx context.Context, args []string, w, ew io.Writer) error {
 		}
 	}()
 
-	var met *metrics.Run
-	if *progress > 0 || *metricsJSON != "" {
-		met = metrics.NewRun()
-	}
-	if *progress > 0 {
-		defer metrics.StartProgress(ew, *progress, met)()
-	}
-	if *metricsJSON != "" {
-		defer func() {
-			out := ew
-			var f *os.File
-			if *metricsJSON != "-" {
-				var err error
-				if f, err = os.Create(*metricsJSON); err != nil {
-					fmt.Fprintln(ew, "modelcheck: metrics:", err)
-					return
-				}
-				out = f
-			}
-			if err := met.Snapshot().WriteJSON(out); err != nil {
-				fmt.Fprintln(ew, "modelcheck: metrics:", err)
-			}
-			if f != nil {
-				f.Close()
-			}
-		}()
-	}
+	met, finishMetrics := metrics.StartCLI(ew, "modelcheck", *progress, *metricsJSON)
+	defer finishMetrics()
 
 	var mode sim.Mode
 	switch *modeStr {

@@ -69,18 +69,32 @@ func TestStepAndHashZeroAllocs(t *testing.T) {
 	})
 }
 
-// assertExpansionZeroAllocs pins one warm step of the model checker's DFS
-// expansion: CloneInto a recycled engine, Step one process, key the child
-// by its canonical fingerprint, then evaluate the registry's invariant,
-// whose body is the protocol's contract over the engine's no-copy View.
+// workingOf lists e's working processes for an allocation pin to step in
+// turn. Every run of a pin must perform a round: AllocsPerRun truncates
+// its average, so a few idle runs would round one allocation per step
+// down to 0.
+func workingOf[V any](t *testing.T, e *sim.Engine[V]) []int {
+	t.Helper()
+	w := e.AppendWorking(nil)
+	if len(w) == 0 {
+		t.Fatal("no working process to step")
+	}
+	return w
+}
+
+// assertExpansionZeroAllocs pins one warm clone-and-step expansion:
+// CloneInto a recycled engine, Step one process, key the child by its
+// canonical fingerprint, then evaluate the registry's invariant, whose
+// body is the protocol's contract over the engine's no-copy View. The
+// model checker now expands in place (assertUndoExpansionZeroAllocs);
+// the schedule fuzzer's clone-step leg still copies with CloneInto.
 func assertExpansionZeroAllocs[V any](t *testing.T, name string, nodes []sim.Node[V]) {
 	t.Helper()
 	d, err := protocol.Lookup(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := len(nodes)
-	g := graph.MustCycle(n)
+	g := graph.MustCycle(len(nodes))
 	parent, err := sim.NewEngine(g, nodes)
 	if err != nil {
 		t.Fatal(err)
@@ -88,12 +102,15 @@ func assertExpansionZeroAllocs[V any](t *testing.T, name string, nodes []sim.Nod
 	parent.Step([]int{1})
 	parent.CanonicalFingerprintHash128()
 	child := parent.Clone()
+	working := workingOf(t, parent)
 	set := make([]int, 1)
 	step := 0
 	if a := testing.AllocsPerRun(200, func() {
 		parent.CloneInto(child)
-		set[0] = step % n
-		child.Step(set)
+		set[0] = working[step%len(working)]
+		if len(child.Step(set)) != 1 {
+			t.Fatal("the step performed no round")
+		}
 		child.CanonicalFingerprintHash128()
 		if err := d.Contract.Safety(g, child.View()); err != nil {
 			t.Fatal(err)
@@ -109,6 +126,52 @@ func TestExpansionStepZeroAllocs(t *testing.T) {
 	t.Run("six", func(t *testing.T) { assertExpansionZeroAllocs(t, "six", core.NewPairNodes(xs)) })
 	t.Run("five", func(t *testing.T) { assertExpansionZeroAllocs(t, "five", core.NewFiveNodes(xs)) })
 	t.Run("fast", func(t *testing.T) { assertExpansionZeroAllocs(t, "fast", core.NewFastNodes(xs)) })
+}
+
+// assertUndoExpansionZeroAllocs pins one warm step of the model checker's
+// in-place DFS expansion: StepUndo one process into a reused undo record,
+// key the child by its canonical fingerprint, evaluate the registry's
+// invariant (the contract over View), then Undo.
+func assertUndoExpansionZeroAllocs[V any](t *testing.T, name string, nodes []sim.Node[V]) {
+	t.Helper()
+	d, err := protocol.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.MustCycle(len(nodes))
+	e, err := sim.NewEngine(g, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Step([]int{1})
+	e.CanonicalFingerprintHash128()
+	var u sim.Undo[V]
+	e.StepUndo([]int{0}, &u)
+	e.Undo(&u)
+	working := workingOf(t, e)
+	set := make([]int, 1)
+	step := 0
+	if a := testing.AllocsPerRun(200, func() {
+		set[0] = working[step%len(working)]
+		if len(e.StepUndo(set, &u)) != 1 {
+			t.Fatal("the step performed no round")
+		}
+		e.CanonicalFingerprintHash128()
+		if err := d.Contract.Safety(g, e.View()); err != nil {
+			t.Fatal(err)
+		}
+		e.Undo(&u)
+		step++
+	}); a != 0 {
+		t.Errorf("warm in-place expansion step allocates %v/op, want 0", a)
+	}
+}
+
+func TestUndoExpansionZeroAllocs(t *testing.T) {
+	xs := []int{3, 0, 4, 1, 2}
+	t.Run("six", func(t *testing.T) { assertUndoExpansionZeroAllocs(t, "six", core.NewPairNodes(xs)) })
+	t.Run("five", func(t *testing.T) { assertUndoExpansionZeroAllocs(t, "five", core.NewFiveNodes(xs)) })
+	t.Run("fast", func(t *testing.T) { assertUndoExpansionZeroAllocs(t, "fast", core.NewFastNodes(xs)) })
 }
 
 // TestHashMatchesFingerprintEquality spot-checks the Hashable contract on

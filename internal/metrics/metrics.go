@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -254,5 +255,47 @@ func StartProgress(w io.Writer, interval time.Duration, r *Run) (stop func()) {
 			wg.Wait()
 			fmt.Fprintf(w, "progress: %s (final)\n", r.Snapshot())
 		})
+	}
+}
+
+// StartCLI sets up what a command's -progress and -metrics-json flags ask
+// for. It returns the Run to publish into (nil when both are off) and a
+// finish function for the command to defer. finish stops the progress
+// printer before it writes the final snapshot as JSON to path ("-" means
+// w), so the printer and the snapshot never write to w at the same time.
+// Errors are reported on w, prefixed with cmd.
+func StartCLI(w io.Writer, cmd string, progress time.Duration, path string) (*Run, func()) {
+	if progress <= 0 && path == "" {
+		return nil, func() {}
+	}
+	r := NewRun()
+	stop := func() {}
+	if progress > 0 {
+		stop = StartProgress(w, progress, r)
+	}
+	return r, func() {
+		stop()
+		if path == "" {
+			return
+		}
+		out := w
+		var f *os.File
+		if path != "-" {
+			var err error
+			if f, err = os.Create(path); err != nil {
+				fmt.Fprintf(w, "%s: metrics: %v\n", cmd, err)
+				return
+			}
+			out = f
+		}
+		err := r.Snapshot().WriteJSON(out)
+		if f != nil {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			fmt.Fprintf(w, "%s: metrics: %v\n", cmd, err)
+		}
 	}
 }

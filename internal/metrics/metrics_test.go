@@ -123,6 +123,26 @@ func TestStartProgress(t *testing.T) {
 	}
 }
 
+// TestStartCLIStopsProgressBeforeSnapshot pins the order of a command's
+// finish: the progress printer has stopped (its final line written)
+// before the JSON snapshot goes to the same writer. The writer is
+// deliberately unsynchronized, so -race reports any overlap.
+func TestStartCLIStopsProgressBeforeSnapshot(t *testing.T) {
+	if r, _ := StartCLI(nil, "test", 0, ""); r != nil {
+		t.Fatal("StartCLI with both outputs off returned a Run")
+	}
+	var b strings.Builder
+	r, finish := StartCLI(&b, "test", time.Millisecond, "-")
+	r.States.Add(3)
+	time.Sleep(5 * time.Millisecond)
+	finish()
+	out := b.String()
+	final, js := strings.Index(out, "(final)"), strings.Index(out, "{")
+	if final < 0 || js < final || !strings.Contains(out[js:], `"states": 3`) {
+		t.Fatalf("want the final progress line, then the snapshot:\n%s", out)
+	}
+}
+
 // TestStartProgressStopTwice is the regression for the double-stop panic:
 // the stop function is naturally called from both a defer and a signal
 // handler, so the second (and any concurrent) call must be a no-op rather

@@ -1,16 +1,18 @@
 package model
 
-// Correctness audit of the checker hot paths: the engine free list (clone
-// recycling must be immune to stale state in released engines) and the
-// crash wrappers (workingSet/subsets must expose exactly the schedules the
-// simulator can realize under the same crash plan).
+// Correctness audit of the checker hot paths: in-place expansion (the
+// spare nodes of idle undo records must not leak into any explored
+// state) and the crash wrappers (workingSet/subsets must expose exactly
+// the schedules the simulator can realize under the same crash plan).
 
 import (
+	"fmt"
 	"testing"
 
 	"asynccycle/internal/core"
 	"asynccycle/internal/graph"
 	"asynccycle/internal/ids"
+	"asynccycle/internal/ooc"
 	"asynccycle/internal/sim"
 )
 
@@ -23,45 +25,60 @@ func fiveC(t *testing.T, n int) *sim.Engine[core.FiveVal] {
 	return e
 }
 
-// TestFreeListPoisoningIsHarmless is the free-list audit: while a DFS is
-// running, scribble hard on every engine sitting in the free list — step
-// it, crash it, arm crash limits, flip its mode — and require the final
-// report to be byte-identical to a clean run. This pins the CloneInto
-// contract the recycler depends on: every field of a reused engine is
-// overwritten from the source, so no stale state (including crash limits
-// and the in-set dedup marks) can leak into a fresh branch.
-func TestFreeListPoisoningIsHarmless(t *testing.T) {
-	run := func(poison bool) Report {
-		opt := Options{SingletonsOnly: true}
-		x := newExplorer[core.FiveVal](opt)
-		if poison {
-			x.inv = func(e *sim.Engine[core.FiveVal]) error {
-				for _, f := range x.free {
-					for p := 0; p < f.N(); p++ {
-						if f.Working(p) {
-							f.Step([]int{p})
-							break
+// TestSparePoisoningIsHarmless is the undo-record audit. While a DFS is
+// running, the invariant scribbles on every idle record — those of the
+// current depth and deeper, whose spares no installed step uses — by
+// stepping a foreign engine through the record and back, which leaves
+// the foreign nodes' stepped state in the spares and the foreign
+// processes in the saved fields. The report must match a clean run byte
+// for byte, and the clean run the exact string-keyed reference walk. This
+// pins what in-place expansion relies on: StepUndo overwrites a spare in
+// full before installing it, and Undo restores everything a step changed.
+func TestSparePoisoningIsHarmless(t *testing.T) {
+	junkIDs := []int{7, 3, 9, 1}
+	for _, singletons := range []bool{true, false} {
+		run := func(poison bool) Report {
+			x := newExplorer[core.FiveVal](Options{SingletonsOnly: singletons})
+			var junk *sim.Engine[core.FiveVal]
+			scribbles := 0
+			if poison {
+				x.inv = func(e *sim.Engine[core.FiveVal]) error {
+					for _, b := range x.exp[min(len(x.path), len(x.exp)):] {
+						if junk == nil || junk.AllSettled() {
+							junk, _ = sim.NewEngine(graph.MustCycle(4), core.NewFiveNodes(junkIDs))
+							junk.Step([]int{0, 2})
 						}
+						all := junk.AppendWorking(nil)
+						junk.StepUndo(all, &b.undo)
+						junk.Undo(&b.undo)
+						junk.Step(all[:1])
+						scribbles++
 					}
-					f.Crash(0)
-					f.CrashAfter(1, 2)
-					f.SetMode(sim.ModeSimultaneous)
+					return nil
 				}
-				return nil
+			}
+			root := fiveC(t, 4)
+			root.CrashAfter(1, 2)
+			rep := x.explore(root)
+			if poison && scribbles == 0 {
+				t.Fatal("the audit scribbled on no record")
+			}
+			return rep
+		}
+		clean, dirty := run(false), run(true)
+		if c, d := fmt.Sprintf("%+v", clean), fmt.Sprintf("%+v", dirty); c != d {
+			t.Errorf("singletons=%t: poisoning idle undo records changed the exploration:\nclean %s\ndirty %s", singletons, c, d)
+		}
+		if clean.States == 0 || clean.Terminal == 0 {
+			t.Fatalf("audit ran on a trivial instance: %v", clean)
+		}
+		if singletons {
+			root := fiveC(t, 4)
+			root.CrashAfter(1, 2)
+			if ref := RefExplore(root, false, DefaultMaxDepth); clean.States != ref.States || clean.Terminal != ref.Terminal {
+				t.Errorf("in-place DFS found states=%d terminal=%d, exact reference %d and %d", clean.States, clean.Terminal, ref.States, ref.Terminal)
 			}
 		}
-		x.dfs(fiveC(t, 4), 0)
-		return x.report
-	}
-	clean := run(false)
-	dirty := run(true)
-	if clean.States != dirty.States || clean.Terminal != dirty.Terminal ||
-		clean.CycleFound != dirty.CycleFound || clean.DeepestPath != dirty.DeepestPath ||
-		clean.Truncated != dirty.Truncated {
-		t.Errorf("poisoning the free list changed the exploration:\nclean %v\ndirty %v", clean, dirty)
-	}
-	if clean.States == 0 || clean.Terminal == 0 {
-		t.Fatalf("audit ran on a trivial instance: %v", clean)
 	}
 }
 
@@ -117,8 +134,8 @@ func TestCrashScheduleEquivalence(t *testing.T) {
 	opt := Options{SingletonsOnly: true}
 	x := newExplorer[core.FiveVal](opt)
 	x.collectKeys = true
-	x.keys = make(map[stateKey]int)
-	x.terminalKeys = make(map[stateKey]struct{})
+	x.keys = make(map[ooc.Key]int)
+	x.terminalKeys = make(map[ooc.Key]struct{})
 	x.dfs(mkRoot(), 0)
 	if x.report.Truncated {
 		t.Fatalf("exploration truncated, equivalence vacuous: %v", x.report)
@@ -128,7 +145,7 @@ func TestCrashScheduleEquivalence(t *testing.T) {
 	}
 	visited := func(e *sim.Engine[core.FiveVal]) bool {
 		h1, h2 := e.FingerprintHash128()
-		_, ok := x.keys[stateKey{h1: h1, h2: h2}]
+		_, ok := x.keys[ooc.Key{H1: h1, H2: h2}]
 		return ok
 	}
 

@@ -214,10 +214,12 @@ type Report struct {
 	ViolationWitness [][]int
 	// DeepestPath is the longest schedule explored (in steps).
 	DeepestPath int
-	// HashCollisions counts lane-A collisions of the compact-fingerprint
-	// tables, each detected by the second hash lane and resolved exactly
-	// through the full-string fallback (see fpset.go). Expected to be 0 on
-	// every realistic instance.
+	// HashCollisions counts lane-A collisions in the state tables: inserts
+	// of a configuration whose 64-bit lane A equals that of exactly one
+	// stored configuration (a third on the same lane A does not recount).
+	// The tables key on both lanes (ooc.Table), so such a collision
+	// conflates nothing; it counts what a lane-A-only table would have had
+	// to resolve. Expected to be 0 on every realistic instance.
 	HashCollisions int
 	// Partial reports that the run stopped before exhausting the schedule
 	// space — a budget tripped or the context was cancelled. All counts
@@ -260,23 +262,27 @@ func (r Report) String() string {
 }
 
 // Invariant is a per-configuration safety check; return a non-nil error to
-// record a violation. It must not mutate the engine.
+// record a violation. It must not mutate the engine. The serial checker
+// steps one engine object through every explored state and takes each
+// step back after the state's subtree, so e stands for a different
+// configuration after the call: an invariant must not keep e, or anything
+// read from it (a View's slices, a node), past its return.
 type Invariant[V any] func(e *sim.Engine[V]) error
 
 type explorer[V any] struct {
 	opt       Options
 	inv       Invariant[V]
 	canon     bool // key states by canonical (rotation-minimal) fingerprint
-	visited   *fpMap[struct{}]
-	onStack   *fpMap[struct{}]
-	path      [][]int    // activation sets from the root to the current state
-	pathFPs   []stateKey // keys of the states along the path
+	visited   ooc.Table[struct{}]
+	onStack   ooc.Table[struct{}]
+	path      [][]int   // activation sets from the root to the current state
+	pathFPs   []ooc.Key // keys of the states along the path
 	report    Report
-	interrupt bool             // context/deadline tripped: unwind without exploring
-	ck        *runctl.Checker  // nil when un-budgeted (zero polling cost)
-	met       *metrics.Run     // nil when observability is off
-	free      []*sim.Engine[V] // discarded branch engines, recycled by CloneInto
-	exp       expansions       // per-depth working and activation sets
+	interrupt bool            // context/deadline tripped: unwind without exploring
+	ck        *runctl.Checker // nil when un-budgeted (zero polling cost)
+	met       *metrics.Run    // nil when observability is off
+	eng       *sim.Engine[V]  // explore's copy of the root, stepped and undone in place
+	exp       expansions[V]   // per-depth working sets, activation sets and undo records
 
 	// spill, when non-nil, replaces the in-RAM visited table with the
 	// out-of-core fingerprint set (Options.SpillDir); spillDir is the
@@ -299,18 +305,16 @@ type explorer[V any] struct {
 	// value is the state's exact rotation-orbit size (always 1 when canon
 	// is off), so the merged WeightedStates stays exact under unions.
 	collectKeys  bool
-	keys         map[stateKey]int
-	terminalKeys map[stateKey]struct{}
-	vioKeys      []stateKey // state key of each recorded violation, aligned with report.Violations
+	keys         map[ooc.Key]int
+	terminalKeys map[ooc.Key]struct{}
+	vioKeys      []ooc.Key // state key of each recorded violation, aligned with report.Violations
 }
 
 func newExplorer[V any](opt Options) *explorer[V] {
 	return &explorer[V]{
-		opt:     opt.withDefaults(),
-		visited: newFPMap[struct{}](),
-		onStack: newFPMap[struct{}](),
-		ck:      runctl.NewChecker(opt.Context, opt.Budget.Timeout),
-		met:     opt.Metrics,
+		opt: opt.withDefaults(),
+		ck:  runctl.NewChecker(opt.Context, opt.Budget.Timeout),
+		met: opt.Metrics,
 	}
 }
 
@@ -319,35 +323,14 @@ func newExplorer[V any](opt Options) *explorer[V] {
 // (rotation-minimal) fingerprint, so every rotationally equivalent
 // configuration lands on the same table slot. Note the hashes use
 // engine-owned scratch: never key a shared engine from concurrent workers.
-func (x *explorer[V]) keyOrbit(e *sim.Engine[V]) (stateKey, int) {
+func (x *explorer[V]) keyOrbit(e *sim.Engine[V]) (ooc.Key, int) {
 	if !x.canon {
 		h1, h2 := e.FingerprintHash128()
-		return stateKey{h1: h1, h2: h2}, 1
+		return ooc.Key{H1: h1, H2: h2}, 1
 	}
 	h1, h2, _, orbit := e.CanonicalFingerprintHash128()
-	return stateKey{h1: h1, h2: h2}, orbit
+	return ooc.Key{H1: h1, H2: h2}, orbit
 }
-
-// strFnFor returns the collision-resolution string matching the keying
-// scheme: canonical under canon, plain otherwise.
-func (x *explorer[V]) strFnFor(e *sim.Engine[V]) func() string {
-	if x.canon {
-		return func() string { return e.CanonicalFingerprint() }
-	}
-	return func() string { return e.Fingerprint() }
-}
-
-// clone copies e, recycling a previously released engine when available.
-func (x *explorer[V]) clone(e *sim.Engine[V]) *sim.Engine[V] {
-	if n := len(x.free); n > 0 {
-		dst := x.free[n-1]
-		x.free = x.free[:n-1]
-		return e.CloneInto(dst)
-	}
-	return e.Clone()
-}
-
-func (x *explorer[V]) release(e *sim.Engine[V]) { x.free = append(x.free, e) }
 
 // visitedSize is the figure the VisitedSize gauge publishes for the state
 // just inserted: the run-wide total across all workers when the parallel
@@ -361,7 +344,7 @@ func (x *explorer[V]) visitedSize() int64 {
 	if x.spill != nil {
 		return x.spill.Len()
 	}
-	return int64(x.visited.length())
+	return int64(x.visited.Len())
 }
 
 // copySteps deep-copies a schedule fragment.
@@ -390,15 +373,26 @@ func Explore[V any](root *sim.Engine[V], opt Options, inv Invariant[V]) Report {
 	}
 	x := newExplorer[V](opt)
 	x.inv = inv
-	x.canon = canonApplies(root, opt)
+	return x.explore(root)
+}
+
+// explore runs one serial exploration from root and returns its report.
+// It steps a private copy of root, never root itself, and starts from
+// empty tables, so one explorer can run many roots in turn (a serial
+// sweep does) without reallocating its tables, engine or undo records.
+func (x *explorer[V]) explore(root *sim.Engine[V]) Report {
+	x.visited.Reset()
+	x.onStack.Reset()
+	x.report, x.interrupt = Report{}, false
+	x.canon = canonApplies(root, x.opt)
 	if x.canon {
 		x.report.Symmetry = SymmetryFull
 	}
-	if opt.SpillDir != "" {
-		dir, err := os.MkdirTemp(opt.SpillDir, "spill-")
+	if x.opt.SpillDir != "" {
+		dir, err := os.MkdirTemp(x.opt.SpillDir, "spill-")
 		if err == nil {
 			var s *ooc.Set
-			if s, err = ooc.NewSet(dir, opt.SpillMemLimit); err == nil {
+			if s, err = ooc.NewSet(dir, x.opt.SpillMemLimit); err == nil {
 				x.spill, x.spillDir = s, dir
 			} else {
 				os.RemoveAll(dir)
@@ -412,18 +406,23 @@ func Explore[V any](root *sim.Engine[V], opt Options, inv Invariant[V]) Report {
 			return x.report
 		}
 	}
-	x.dfs(root, 0)
+	x.eng = root.CloneInto(x.eng)
+	x.dfs(x.eng, 0)
 	if x.spill != nil {
 		x.spill.Close()
 		os.RemoveAll(x.spillDir)
+		x.spill, x.spillDir = nil, ""
 	}
-	x.report.HashCollisions = x.visited.collisions + x.onStack.collisions
+	x.report.HashCollisions = x.visited.Collisions() + x.onStack.Collisions()
 	if x.met != nil {
 		x.met.HashCollisions.Add(int64(x.report.HashCollisions))
 	}
 	return x.report
 }
 
+// dfs explores e's configuration and, in place, everything reachable
+// from it: each child is e after StepUndo, and e is restored by Undo
+// before the next sibling, so dfs returns with e unchanged.
 func (x *explorer[V]) dfs(e *sim.Engine[V], depth int) {
 	if x.interrupt {
 		return
@@ -440,8 +439,7 @@ func (x *explorer[V]) dfs(e *sim.Engine[V], depth int) {
 		x.report.DeepestPath = depth
 	}
 	k, orbit := x.keyOrbit(e)
-	strFn := x.strFnFor(e)
-	if _, on := x.onStack.get(k.h1, k.h2, strFn); on {
+	if _, on := x.onStack.Get(k); on {
 		if !x.report.CycleFound {
 			x.report.CycleFound = true
 			// The repeated state sits somewhere along the current path;
@@ -459,7 +457,7 @@ func (x *explorer[V]) dfs(e *sim.Engine[V], depth int) {
 		return
 	}
 	if x.spill != nil {
-		added, err := x.spill.Add(k.h1, k.h2)
+		added, err := x.spill.Add(k.H1, k.H2)
 		if err != nil {
 			// The on-disk visited set is gone; membership answers from here
 			// on would be undefined, so unwind everything counted so far.
@@ -471,11 +469,8 @@ func (x *explorer[V]) dfs(e *sim.Engine[V], depth int) {
 		if !added {
 			return
 		}
-	} else {
-		if _, seen := x.visited.get(k.h1, k.h2, strFn); seen {
-			return
-		}
-		x.visited.put(k.h1, k.h2, strFn, struct{}{})
+	} else if !x.visited.Put(k, struct{}{}) {
+		return
 	}
 	x.report.States++
 	// budgetStates is the count the MaxStates budget below trips on: the
@@ -538,21 +533,20 @@ func (x *explorer[V]) dfs(e *sim.Engine[V], depth int) {
 		// All remaining processes crashed: nothing can evolve.
 		return
 	}
-	x.onStack.put(k.h1, k.h2, strFn, struct{}{})
+	x.onStack.Put(k, struct{}{})
 	x.pathFPs = append(x.pathFPs, k)
 	for _, subset := range b.activationSets(x.opt.SingletonsOnly) {
-		child := x.clone(e)
-		child.Step(subset)
+		e.StepUndo(subset, &b.undo)
 		x.path = append(x.path, subset)
-		x.dfs(child, depth+1)
-		x.release(child)
+		x.dfs(e, depth+1)
+		e.Undo(&b.undo)
 		x.path = x.path[:len(x.path)-1]
 		if x.interrupt {
 			break
 		}
 	}
 	x.pathFPs = x.pathFPs[:len(x.pathFPs)-1]
-	x.onStack.del(k.h1, k.h2, strFn)
+	x.onStack.Delete(k)
 }
 
 // WorstActivations computes, for each process, the exact maximum number of
@@ -566,8 +560,6 @@ func WorstActivations[V any](root *sim.Engine[V], opt Options) ([]int, bool, Rep
 	defer cancel()
 	w := &worst[V]{
 		opt:  opt,
-		memo: newFPMap[[]int](),
-		onSt: newFPMap[struct{}](),
 		zero: make([]int, root.N()),
 		ck:   runctl.NewChecker(opt.Context, opt.Budget.Timeout),
 		met:  opt.Metrics,
@@ -577,11 +569,12 @@ func WorstActivations[V any](root *sim.Engine[V], opt Options) ([]int, bool, Rep
 		w.report.Symmetry = SymmetryFull
 		w.rotBuf = make([]int, root.N())
 	}
-	vec := w.dfs(root, 0)
+	// The analysis steps and undoes a private copy, never root itself.
+	vec := w.dfs(root.Clone(), 0)
 	if w.canon && vec != nil {
 		vec = append([]int(nil), vec...) // may alias the rotation scratch
 	}
-	w.report.HashCollisions = w.memo.collisions + w.onSt.collisions
+	w.report.HashCollisions = w.memo.Collisions() + w.onSt.Collisions()
 	ok := !w.report.CycleFound && !w.report.Truncated && !w.report.Partial
 	return vec, ok, w.report
 }
@@ -589,13 +582,12 @@ func WorstActivations[V any](root *sim.Engine[V], opt Options) ([]int, bool, Rep
 type worst[V any] struct {
 	opt       Options
 	canon     bool // key states by canonical rotation-minimal fingerprint
-	memo      *fpMap[[]int]
-	onSt      *fpMap[struct{}]
+	memo      ooc.Table[[]int]
+	onSt      ooc.Table[struct{}]
 	report    Report
-	zero      []int // shared all-zeros vector; callers must not mutate results
-	rotBuf    []int // scratch for rotating memo vectors back into query frames
-	free      []*sim.Engine[V]
-	exp       expansions // per-depth working and activation sets
+	zero      []int         // shared all-zeros vector; callers must not mutate results
+	rotBuf    []int         // scratch for rotating memo vectors back into query frames
+	exp       expansions[V] // per-depth working sets, activation sets and undo records
 	interrupt bool
 	ck        *runctl.Checker
 	met       *metrics.Run
@@ -607,21 +599,13 @@ type worst[V any] struct {
 // stored in the canonical frame and rotated back into each query's own
 // frame on retrieval, so rotationally equivalent configurations share one
 // memo entry yet every caller sees its own process indexing.
-func (w *worst[V]) keyRot(e *sim.Engine[V]) (stateKey, int, int) {
+func (w *worst[V]) keyRot(e *sim.Engine[V]) (ooc.Key, int, int) {
 	if !w.canon {
 		h1, h2 := e.FingerprintHash128()
-		return stateKey{h1: h1, h2: h2}, 0, 1
+		return ooc.Key{H1: h1, H2: h2}, 0, 1
 	}
 	h1, h2, rot, orbit := e.CanonicalFingerprintHash128()
-	return stateKey{h1: h1, h2: h2}, rot, orbit
-}
-
-// strFnFor mirrors explorer.strFnFor for the worst-case tables.
-func (w *worst[V]) strFnFor(e *sim.Engine[V]) func() string {
-	if w.canon {
-		return func() string { return e.CanonicalFingerprint() }
-	}
-	return func() string { return e.Fingerprint() }
+	return ooc.Key{H1: h1, H2: h2}, rot, orbit
 }
 
 // toCanon returns vec re-indexed into the canonical frame (freshly
@@ -653,15 +637,6 @@ func (w *worst[V]) fromCanon(v []int, rot int) []int {
 	return w.rotBuf
 }
 
-func (w *worst[V]) clone(e *sim.Engine[V]) *sim.Engine[V] {
-	if n := len(w.free); n > 0 {
-		dst := w.free[n-1]
-		w.free = w.free[:n-1]
-		return e.CloneInto(dst)
-	}
-	return e.Clone()
-}
-
 func (w *worst[V]) dfs(e *sim.Engine[V], depth int) []int {
 	n := e.N()
 	if w.interrupt {
@@ -679,17 +654,16 @@ func (w *worst[V]) dfs(e *sim.Engine[V], depth int) []int {
 		w.report.DeepestPath = depth
 	}
 	k, rot, orbit := w.keyRot(e)
-	strFn := w.strFnFor(e)
-	if _, on := w.onSt.get(k.h1, k.h2, strFn); on {
+	if _, on := w.onSt.Get(k); on {
 		w.report.CycleFound = true
 		return w.zero
 	}
-	if v, ok := w.memo.get(k.h1, k.h2, strFn); ok {
+	if v, ok := w.memo.Get(k); ok {
 		return w.fromCanon(v, rot)
 	}
 	if e.AllDone() {
 		w.report.Terminal++
-		w.memo.put(k.h1, k.h2, strFn, w.zero)
+		w.memo.Put(k, w.zero)
 		if w.canon {
 			w.report.WeightedStates += int64(orbit)
 		}
@@ -704,7 +678,7 @@ func (w *worst[V]) dfs(e *sim.Engine[V], depth int) []int {
 		w.report.noteStop(runctl.StopMaxDepth)
 		return w.zero
 	}
-	if w.memo.length() >= w.opt.MaxStates {
+	if w.memo.Len() >= w.opt.MaxStates {
 		w.report.Truncated = true
 		w.report.noteStop(runctl.StopMaxStates)
 		return w.zero
@@ -712,23 +686,23 @@ func (w *worst[V]) dfs(e *sim.Engine[V], depth int) []int {
 	b := w.exp.at(depth)
 	b.working = e.AppendWorking(b.working[:0])
 	if len(b.working) == 0 {
-		w.memo.put(k.h1, k.h2, strFn, w.zero)
+		w.memo.Put(k, w.zero)
 		if w.canon {
 			w.report.WeightedStates += int64(orbit)
 		}
 		return w.zero
 	}
-	w.onSt.put(k.h1, k.h2, strFn, struct{}{})
+	w.onSt.Put(k, struct{}{})
 	best := make([]int, n)
 	for _, subset := range b.activationSets(w.opt.SingletonsOnly) {
-		child := w.clone(e)
-		// performed is child's scratch, valid here because child takes no
-		// further step of its own (the recursion steps fresh clones).
-		performed := child.Step(subset)
-		sub := w.dfs(child, depth+1)
+		// performed is engine scratch that the recursion's own steps
+		// overwrite: keep a copy in this depth's storage.
+		b.performed = append(b.performed[:0], e.StepUndo(subset, &b.undo)...)
+		sub := w.dfs(e, depth+1)
+		e.Undo(&b.undo)
 		for p := 0; p < n; p++ {
 			total := sub[p]
-			for _, q := range performed {
+			for _, q := range b.performed {
 				if q == p {
 					total++
 					break
@@ -738,21 +712,20 @@ func (w *worst[V]) dfs(e *sim.Engine[V], depth int) []int {
 				best[p] = total
 			}
 		}
-		w.free = append(w.free, child)
 		if w.interrupt {
 			break
 		}
 	}
-	w.onSt.del(k.h1, k.h2, strFn)
-	w.memo.put(k.h1, k.h2, strFn, w.toCanon(best, rot))
+	w.onSt.Delete(k)
+	w.memo.Put(k, w.toCanon(best, rot))
 	if w.canon {
 		w.report.WeightedStates += int64(orbit)
 	}
-	w.report.States = w.memo.length()
+	w.report.States = w.memo.Len()
 	if w.met != nil {
 		w.met.States.Inc()
 		w.met.FrontierDepth.SetMax(int64(depth))
-		w.met.VisitedSize.SetMax(int64(w.memo.length()))
+		w.met.VisitedSize.SetMax(int64(w.memo.Len()))
 	}
 	return best
 }
@@ -771,16 +744,24 @@ func workingSet[V any](e *sim.Engine[V]) []int {
 // subsets enumerates the allowed activation sets over the working
 // processes: all non-empty subsets, or singletons only.
 func subsets(working []int, singletonsOnly bool) [][]int {
-	b := expansion{working: working}
+	b := setBuf{working: working}
 	return b.activationSets(singletonsOnly)
 }
 
-// expansion is one DFS depth's reusable storage for the working set of the
-// state expanded there and the activation sets over it, so the serial DFS
-// allocates neither per state. The sets stay valid while the state's
-// children are explored (the path refers to them); the next state
-// expanded at the same depth overwrites them.
-type expansion struct {
+// expansion is one DFS depth's reusable storage, so the serial DFS
+// allocates nothing per state: the working set of the state expanded
+// there, the activation sets over it, and the undo record of the child
+// being explored. The sets stay valid while the state's children are
+// explored (the path refers to them); the next state expanded at the same
+// depth overwrites them.
+type expansion[V any] struct {
+	setBuf
+	performed []int       // WorstActivations' copy of the child's performed set
+	undo      sim.Undo[V] // takes the child's step back
+}
+
+// setBuf holds a working set and the activation sets over it.
+type setBuf struct {
 	working []int
 	sets    [][]int
 	flat    []int // backing storage of sets
@@ -790,7 +771,7 @@ type expansion struct {
 // into b's storage: all non-empty subsets in mask order, or singletons
 // only. Each set is capped at its own length, so appending to one never
 // clobbers the next.
-func (b *expansion) activationSets(singletonsOnly bool) [][]int {
+func (b *setBuf) activationSets(singletonsOnly bool) [][]int {
 	b.sets = b.sets[:0]
 	if singletonsOnly {
 		b.flat = append(b.flat[:0], b.working...)
@@ -823,11 +804,11 @@ func (b *expansion) activationSets(singletonsOnly bool) [][]int {
 }
 
 // expansions holds one expansion per DFS depth, allocated on first use.
-type expansions []*expansion
+type expansions[V any] []*expansion[V]
 
-func (s *expansions) at(depth int) *expansion {
+func (s *expansions[V]) at(depth int) *expansion[V] {
 	for len(*s) <= depth {
-		*s = append(*s, new(expansion))
+		*s = append(*s, new(expansion[V]))
 	}
 	return (*s)[depth]
 }

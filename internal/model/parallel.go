@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"asynccycle/internal/metrics"
+	"asynccycle/internal/ooc"
 	"asynccycle/internal/par"
 	"asynccycle/internal/runctl"
 	"asynccycle/internal/sim"
@@ -30,25 +31,19 @@ func exploreParallel[V any](root *sim.Engine[V], opt Options, inv Invariant[V]) 
 	rep := Report{States: 1}
 
 	// Key the root serially: FingerprintHash128 uses engine-owned scratch,
-	// and workers must not touch the shared root. The string form is also
-	// precomputed so collision fallbacks never race on root.Fingerprint.
-	// Under within-run symmetry reduction the root is keyed canonically,
-	// like every state the workers visit.
+	// and workers must not touch the shared root. Under within-run
+	// symmetry reduction the root is keyed canonically, like every state
+	// the workers visit.
 	canon := canonApplies(root, opt)
-	var rootKey stateKey
+	var rootKey ooc.Key
 	rootOrbit := 1
 	if canon {
-		rootKey.h1, rootKey.h2, _, rootOrbit = root.CanonicalFingerprintHash128()
-	} else {
-		rootKey.h1, rootKey.h2 = root.FingerprintHash128()
-	}
-	rootStr := root.Fingerprint()
-	if canon {
-		rootStr = root.CanonicalFingerprint()
+		rootKey.H1, rootKey.H2, _, rootOrbit = root.CanonicalFingerprintHash128()
 		rep.Symmetry = SymmetryFull
 		rep.WeightedStates = int64(rootOrbit)
+	} else {
+		rootKey.H1, rootKey.H2 = root.FingerprintHash128()
 	}
-	rootStrFn := func() string { return rootStr }
 
 	if inv != nil {
 		if err := inv(root); err != nil {
@@ -99,24 +94,26 @@ func exploreParallel[V any](root *sim.Engine[V], opt Options, inv Invariant[V]) 
 		x.sharedStates = &sharedStates
 		x.sharedVisited = &sharedVisited
 		x.collectKeys = true
-		x.keys = make(map[stateKey]int)
-		x.terminalKeys = make(map[stateKey]struct{})
+		x.keys = make(map[ooc.Key]int)
+		x.terminalKeys = make(map[ooc.Key]struct{})
 		// Pre-seed the path with the first-level step and keep the root on
 		// the stack for the whole worker: cycle prefixes and violation
 		// witnesses then come out rooted at the initial configuration, and
 		// cycles through the root itself are detected.
-		x.onStack.put(rootKey.h1, rootKey.h2, rootStrFn, struct{}{})
+		x.onStack.Put(rootKey, struct{}{})
 		x.path = append(x.path, subset)
 		x.pathFPs = append(x.pathFPs, rootKey)
+		// Each worker steps its own copy of the root once, then explores
+		// in place from it.
 		child := root.Clone()
 		child.Step(subset)
 		x.dfs(child, 1)
 		return x
 	})
 
-	keys := map[stateKey]int{rootKey: rootOrbit}
-	terminals := make(map[stateKey]struct{})
-	vioSeen := make(map[stateKey]bool)
+	keys := map[ooc.Key]int{rootKey: rootOrbit}
+	terminals := make(map[ooc.Key]struct{})
+	vioSeen := make(map[ooc.Key]bool)
 	for i, x := range workers {
 		if x == nil {
 			// Subset never claimed (cancelled before a worker picked it up):
@@ -143,7 +140,7 @@ func exploreParallel[V any](root *sim.Engine[V], opt Options, inv Invariant[V]) 
 		if r.DeepestPath > rep.DeepestPath {
 			rep.DeepestPath = r.DeepestPath
 		}
-		rep.HashCollisions += x.visited.collisions + x.onStack.collisions
+		rep.HashCollisions += x.visited.Collisions() + x.onStack.Collisions()
 		if r.CycleFound && !rep.CycleFound {
 			rep.CycleFound = true
 			rep.CyclePrefix = r.CyclePrefix

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"asynccycle/internal/ooc"
 	"asynccycle/internal/sim"
 )
 
@@ -56,9 +57,7 @@ func ObstructionFree[V any](root *sim.Engine[V], opt Options, soloBound int) (st
 		}
 		return nil
 	}
-	x.dfs(root, 0)
-	x.report.HashCollisions = x.visited.collisions + x.onStack.collisions
-	return counterexample, x.report
+	return counterexample, x.explore(root)
 }
 
 // stateGraph is the explicit reachable configuration graph used by the
@@ -69,7 +68,7 @@ func ObstructionFree[V any](root *sim.Engine[V], opt Options, soloBound int) (st
 // — enough to expand the quotient back into the full rotation closure for
 // the fairness analysis (see liftQuotient).
 type stateGraph struct {
-	ids       *fpMap[int]
+	ids       ooc.Table[int]
 	canon     bool
 	n         int      // processes; frame arithmetic under canon
 	edges     [][]edge // adjacency: edges[s] lists transitions out of s
@@ -122,7 +121,6 @@ func rotateSet(ps []int, by, n int) []int {
 func FairlyTerminates[V any](root *sim.Engine[V], opt Options) (string, Report) {
 	opt = opt.withDefaults()
 	g := &stateGraph{
-		ids:   newFPMap[int](),
 		canon: canonApplies(root, opt),
 		n:     root.N(),
 	}
@@ -132,7 +130,7 @@ func FairlyTerminates[V any](root *sim.Engine[V], opt Options) (string, Report) 
 	}
 	buildStateGraph(root, opt, g, &rep, 0, nil)
 	rep.States = len(g.edges)
-	rep.HashCollisions = g.ids.collisions
+	rep.HashCollisions = g.ids.Collisions()
 	if g.truncated {
 		rep.Truncated = true
 	}
@@ -201,24 +199,18 @@ func liftQuotient(g *stateGraph) *stateGraph {
 // be combined with canon — legitimacy need not be rotation-invariant
 // (stabilizing protocols may distinguish a root process).
 func buildStateGraph[V any](e *sim.Engine[V], opt Options, g *stateGraph, rep *Report, depth int, legal func(*sim.Engine[V]) error) (int, int) {
-	var h1, h2 uint64
+	var k ooc.Key
 	rot, orbit := 0, 1
 	if g.canon {
-		h1, h2, rot, orbit = e.CanonicalFingerprintHash128()
+		k.H1, k.H2, rot, orbit = e.CanonicalFingerprintHash128()
 	} else {
-		h1, h2 = e.FingerprintHash128()
+		k.H1, k.H2 = e.FingerprintHash128()
 	}
-	strFn := func() string {
-		if g.canon {
-			return e.CanonicalFingerprint()
-		}
-		return e.Fingerprint()
-	}
-	if id, ok := g.ids.get(h1, h2, strFn); ok {
+	if id, ok := g.ids.Get(k); ok {
 		return id, rot
 	}
 	id := len(g.edges)
-	g.ids.put(h1, h2, strFn, id)
+	g.ids.Put(k, id)
 	working := workingSet(e)
 	g.edges = append(g.edges, nil)
 	if g.canon {

@@ -13,6 +13,7 @@ import (
 	"asynccycle/internal/core"
 	"asynccycle/internal/graph"
 	"asynccycle/internal/ids"
+	"asynccycle/internal/ooc"
 	"asynccycle/internal/runctl"
 	"asynccycle/internal/sim"
 )
@@ -32,11 +33,11 @@ func c5Pair(t *testing.T) *sim.Engine[core.PairVal] {
 
 // exploreKeys runs the serial DFS with key collection on, returning the
 // report and the exact set of visited state keys.
-func exploreKeys(root *sim.Engine[core.PairVal], opt Options) (Report, map[stateKey]int) {
+func exploreKeys(root *sim.Engine[core.PairVal], opt Options) (Report, map[ooc.Key]int) {
 	x := newExplorer[core.PairVal](opt)
 	x.collectKeys = true
-	x.keys = make(map[stateKey]int)
-	x.terminalKeys = make(map[stateKey]struct{})
+	x.keys = make(map[ooc.Key]int)
+	x.terminalKeys = make(map[ooc.Key]struct{})
 	x.dfs(root, 0)
 	return x.report, x.keys
 }
@@ -61,8 +62,8 @@ func TestCancelledExploreIsPrefixConsistent(t *testing.T) {
 	popt.Context = ctx
 	x := newExplorer[core.PairVal](popt)
 	x.collectKeys = true
-	x.keys = make(map[stateKey]int)
-	x.terminalKeys = make(map[stateKey]struct{})
+	x.keys = make(map[ooc.Key]int)
+	x.terminalKeys = make(map[ooc.Key]struct{})
 	x.inv = func(e *sim.Engine[core.PairVal]) error {
 		if x.report.States == cut {
 			cancel()

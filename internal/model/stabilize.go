@@ -69,14 +69,11 @@ func (r StabReport) String() string {
 // small by design.
 func CheckStabilization[V any](root *sim.Engine[V], opt Options, legal func(e *sim.Engine[V]) error) StabReport {
 	opt = opt.withDefaults()
-	g := &stateGraph{
-		ids: newFPMap[int](),
-		n:   root.N(),
-	}
+	g := &stateGraph{n: root.N()}
 	rep := Report{}
 	buildStateGraph(root, opt, g, &rep, 0, legal)
 	rep.States = len(g.edges)
-	rep.HashCollisions = g.ids.collisions
+	rep.HashCollisions = g.ids.Collisions()
 	if g.truncated {
 		rep.Truncated = true
 	}

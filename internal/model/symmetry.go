@@ -229,6 +229,14 @@ func sweep[V any](n int, mk func(xs []int) (*sim.Engine[V], error), opt Options,
 		rep.WorstPerProc = make([]int, n)
 	}
 	reduce := opt.Symmetry != SymmetryOff
+	// A serial sweep runs every orbit through one explorer, whose tables,
+	// engine and undo records are reset between runs, not reallocated.
+	explore := func(e *sim.Engine[V]) Report { return Explore(e, opt, inv) }
+	if opt.Workers <= 1 {
+		x := newExplorer[V](opt)
+		x.inv = inv
+		explore = x.explore
+	}
 	var loopErr error
 	repIdx := 0 // enumeration index over explored representatives (shard key)
 	graph.Permutations(n, func(xs []int) bool {
@@ -276,7 +284,7 @@ func sweep[V any](n int, mk func(xs []int) (*sim.Engine[V], error), opt Options,
 			}
 			foldWorst(rep.WorstPerProc, vec, reduce)
 		} else {
-			r = Explore(e, opt, inv)
+			r = explore(e)
 			foldRun(&rep, r, weight)
 			if !r.Ok() {
 				rep.AllOk = false

@@ -113,9 +113,23 @@ type envelope struct {
 // path+".prev" first, then the new generation lands atomically. A crash at
 // any point leaves at least one loadable generation on disk.
 func Save(path string, cp *Checkpoint) error {
+	data, err := encode(cp)
+	if err != nil {
+		return err
+	}
+	if _, err := os.Stat(path); err == nil {
+		if err := os.Rename(path, path+".prev"); err != nil {
+			return fmt.Errorf("ooc: rotate checkpoint: %w", err)
+		}
+	}
+	return atomicio.WriteFile(path, data, 0o644)
+}
+
+// encode renders the file Save writes for cp.
+func encode(cp *Checkpoint) ([]byte, error) {
 	payload, err := json.Marshal(cp)
 	if err != nil {
-		return fmt.Errorf("ooc: marshal checkpoint: %w", err)
+		return nil, fmt.Errorf("ooc: marshal checkpoint: %w", err)
 	}
 	// json.Marshal emits compact payload bytes, and payloadSum re-compacts
 	// on load, so re-serialization of the envelope cannot drift the digest.
@@ -124,14 +138,9 @@ func Save(path string, cp *Checkpoint) error {
 		Payload: payload,
 	})
 	if err != nil {
-		return fmt.Errorf("ooc: marshal checkpoint envelope: %w", err)
+		return nil, fmt.Errorf("ooc: marshal checkpoint envelope: %w", err)
 	}
-	if _, err := os.Stat(path); err == nil {
-		if err := os.Rename(path, path+".prev"); err != nil {
-			return fmt.Errorf("ooc: rotate checkpoint: %w", err)
-		}
-	}
-	return atomicio.WriteFile(path, append(data, '\n'), 0o644)
+	return append(data, '\n'), nil
 }
 
 // Load reads and verifies a checkpoint. When the primary file is missing,
@@ -156,6 +165,12 @@ func loadOne(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decode(path, data)
+}
+
+// decode verifies and decodes one generation's bytes; path only labels
+// errors.
+func decode(path string, data []byte) (*Checkpoint, error) {
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, fmt.Errorf("%s: corrupt envelope (torn write?): %w", path, err)

@@ -174,3 +174,80 @@ func TestCheckpointVersionMismatch(t *testing.T) {
 		t.Fatalf("version mismatch not refused: %v", err)
 	}
 }
+
+// savedBytes returns the exact file Save writes for cp.
+func savedBytes(t testing.TB, cp *Checkpoint) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "sweep.ckpt")
+	if err := Save(path, cp); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// Every single-byte change to a valid checkpoint file is refused, or
+// decodes to a checkpoint deeply equal to the original (a whitespace or
+// key-case change JSON ignores): a damaged file never yields different
+// counts.
+func TestCheckpointSingleByteChanges(t *testing.T) {
+	want := sampleCheckpoint(2)
+	data := savedBytes(t, want)
+	mut := make([]byte, len(data))
+	accepted := 0
+	for i := range data {
+		for v := 0; v < 256; v++ {
+			if byte(v) == data[i] {
+				continue
+			}
+			copy(mut, data)
+			mut[i] = byte(v)
+			got, err := decode("mutant", mut)
+			if err != nil {
+				continue
+			}
+			accepted++
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("byte %d set to %q: loaded a different checkpoint\n got %+v\nwant %+v", i, byte(v), got, want)
+			}
+		}
+	}
+	t.Logf("%d bytes × 255 changes, %d accepted as equal", len(data), accepted)
+}
+
+// FuzzCheckpointLoad feeds arbitrary bytes to Load as a checkpoint file.
+// Load must never panic, and whatever it accepts must re-encode, as Save
+// writes it, to bytes that decode to an equal checkpoint. The re-encoding
+// stays in memory: Save's fsync would cost more than the rest together.
+func FuzzCheckpointLoad(f *testing.F) {
+	data := savedBytes(f, sampleCheckpoint(2))
+	f.Add(data)
+	for _, n := range []int{0, 1, len(data) / 4, len(data) / 2, len(data) - 2, len(data) - 1} {
+		f.Add(data[:n])
+	}
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, b []byte) {
+		path := filepath.Join(dir, "in.ckpt")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cp, _, err := Load(path)
+		if err != nil {
+			return
+		}
+		again, err := encode(cp)
+		if err != nil {
+			t.Fatalf("re-encoding an accepted checkpoint: %v", err)
+		}
+		cp2, err := decode("re-encoded", again)
+		if err != nil {
+			t.Fatalf("decoding a re-encoded checkpoint: %v", err)
+		}
+		if !reflect.DeepEqual(cp, cp2) {
+			t.Fatalf("re-encoding changed the checkpoint:\nfirst  %+v\nsecond %+v", cp, cp2)
+		}
+	})
+}

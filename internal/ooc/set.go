@@ -12,8 +12,12 @@
 // its memory limit it is sorted and sealed into a new run; when runs pile
 // up they are merged into one by a streaming multiway merge, keeping
 // lookup cost bounded. Records are exactly the two 64-bit fingerprint
-// lanes of internal/model's compact stateKey, so spilling costs 16 bytes
-// per state, and set identity matches the in-RAM tables' 128-bit identity.
+// lanes of a Key, so spilling costs 16 bytes per state.
+//
+// The delta is a Table, the flat open-addressing table keyed by both
+// lanes that also holds every in-RAM state table of internal/model, so a
+// spilled check and an in-RAM one share one notion of state identity:
+// the full 128-bit fingerprint.
 package ooc
 
 import (
@@ -59,8 +63,10 @@ const (
 )
 
 // DefaultMemLimit is the delta-table bound used when a caller passes a
-// non-positive limit: ~4M resident fingerprints (on the order of 200 MiB
-// of map-backed RAM) before the first spill.
+// non-positive limit: ~4M resident fingerprints before the first spill.
+// The delta grows by doubling at half load, so at the limit it holds them
+// in 2^23 slots of 16 bytes, 128 MiB, and its last doubling briefly holds
+// the 64 MiB table it replaces as well.
 const DefaultMemLimit = 4_000_000
 
 // Set is a disk-spilled insert-only set of 128-bit fingerprints. Not safe
@@ -68,7 +74,7 @@ const DefaultMemLimit = 4_000_000
 type Set struct {
 	dir   string
 	limit int
-	delta map[Key]struct{}
+	delta Table[struct{}] // grows on demand; a spill empties it, keeping its capacity
 	runs  []*runFile
 	n     int64
 	seq   int
@@ -112,7 +118,7 @@ func NewSet(dir string, memLimit int) (*Set, error) {
 	} else if !st.IsDir() {
 		return nil, fmt.Errorf("ooc: spill dir %s: not a directory", dir)
 	}
-	return &Set{dir: dir, limit: memLimit, delta: make(map[Key]struct{})}, nil
+	return &Set{dir: dir, limit: memLimit}, nil
 }
 
 // Add inserts the fingerprint if absent and reports whether it was newly
@@ -120,7 +126,8 @@ func NewSet(dir string, memLimit int) (*Set, error) {
 // membership; callers must stop exploring.
 func (s *Set) Add(h1, h2 uint64) (bool, error) {
 	k := Key{h1, h2}
-	if _, ok := s.delta[k]; ok {
+	slot, found, same := s.delta.find(k)
+	if found {
 		return false, nil
 	}
 	for _, r := range s.runs {
@@ -132,9 +139,9 @@ func (s *Set) Add(h1, h2 uint64) (bool, error) {
 			return false, nil
 		}
 	}
-	s.delta[k] = struct{}{}
+	s.delta.insertAt(slot, k, struct{}{}, same)
 	s.n++
-	if len(s.delta) >= s.limit {
+	if s.delta.Len() >= s.limit {
 		if err := s.flush(); err != nil {
 			return false, err
 		}
@@ -148,7 +155,7 @@ func (s *Set) Len() int64 { return s.n }
 // Stats returns a snapshot of the set's spill activity.
 func (s *Set) Stats() Stats {
 	return Stats{
-		Resident:    len(s.delta),
+		Resident:    s.delta.Len(),
 		Runs:        len(s.runs),
 		SpilledKeys: s.spilled,
 		Compactions: s.compactions,
@@ -168,37 +175,46 @@ func (s *Set) Close() error {
 		}
 	}
 	s.runs = nil
-	s.delta = nil
+	s.delta = Table[struct{}]{}
 	return first
 }
 
 // flush seals the delta into a new sorted run, then merges all runs into
-// one when too many have accumulated.
+// one when too many have accumulated. The delta's own key array is
+// compacted and sorted in place, so a spill allocates no key slice.
 func (s *Set) flush() error {
-	if len(s.delta) == 0 {
+	d := &s.delta
+	if d.Len() == 0 {
 		return nil
 	}
-	keys := make([]Key, 0, len(s.delta))
-	for k := range s.delta {
-		keys = append(keys, k)
+	keys := d.keys[:0]
+	for _, k := range d.keys {
+		if k != (Key{}) {
+			keys = append(keys, k)
+		}
 	}
 	slices.SortFunc(keys, keyLess)
 	r, err := s.writeRun(func(yield func(Key) error) error {
+		if d.hasZero { // the least key, stored out of band
+			if err := yield(Key{}); err != nil {
+				return err
+			}
+		}
 		for _, k := range keys {
 			if err := yield(k); err != nil {
 				return err
 			}
 		}
 		return nil
-	}, len(keys))
+	}, d.Len())
 	if err != nil {
 		return err
 	}
 	s.runs = append(s.runs, r)
-	s.spilled += int64(len(keys))
-	// clear keeps the table's capacity, so the next delta refills it
+	s.spilled += int64(d.Len())
+	// Reset keeps the table's capacity, so the next delta refills it
 	// without regrowing from empty: a spill leaves no table garbage.
-	clear(s.delta)
+	d.Reset()
 	if len(s.runs) > maxRuns {
 		return s.compact()
 	}

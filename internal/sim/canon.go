@@ -76,8 +76,8 @@ func cmpRotations(d []digest, k, r int) int {
 // CanonicalFingerprintInfo is the exact string-mode counterpart of
 // CanonicalFingerprintHash128: the lexicographically smallest rotated
 // fingerprint, its argmin rotation, and the exact rotation-orbit size.
-// It allocates (n string builds); the model checker only uses it as the
-// collision-resolution fallback.
+// It allocates (n string builds); the model checker never calls it, and
+// the tests use it as the exact reference for the hashed canonical form.
 func (e *Engine[V]) CanonicalFingerprintInfo() (fp string, rot, orbit int) {
 	n := len(e.nodes)
 	fp = e.FingerprintRotated(0)
@@ -92,10 +92,4 @@ func (e *Engine[V]) CanonicalFingerprintInfo() (fp string, rot, orbit int) {
 		}
 	}
 	return fp, rot, n / mult
-}
-
-// CanonicalFingerprint returns just the canonical string fingerprint.
-func (e *Engine[V]) CanonicalFingerprint() string {
-	fp, _, _ := e.CanonicalFingerprintInfo()
-	return fp
 }

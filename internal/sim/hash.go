@@ -27,9 +27,9 @@ type Hashable interface {
 // FPHasher streams words into two independent 64-bit lanes. Absorbing a
 // word costs one multiply-xorshift per lane; each lane has its own basis,
 // odd multiplier, shift and finalizer, so a collision on lane A says
-// nothing about lane B. The pair forms the 128-bit compact fingerprint;
-// the model checker uses lane A as the map key and lane B to detect (and
-// then exactly resolve) key collisions.
+// nothing about lane B. The pair forms the 128-bit compact fingerprint,
+// the key of every model-checker state table (ooc.Table): lane A picks
+// the slot, and both lanes decide equality.
 type FPHasher struct {
 	a, b uint64
 }
@@ -109,8 +109,8 @@ func (h *FPHasher) Sum128() (uint64, uint64) {
 // armed with a CrashAfter limit — the activation count and limit, since
 // distance-to-crash is then part of the transition function. Two engines
 // with equal string fingerprints always have equal hashes; the converse
-// holds up to hash collision, which the model checker's visited sets detect
-// via the second lane and resolve exactly (see internal/model).
+// holds up to a collision of both 64-bit lanes at once, the one case in
+// which the model checker conflates two configurations (see internal/ooc).
 //
 // The hash folds the engine's cached per-node digests (see digests), so a
 // warmed-up engine fingerprints without allocating when every node and

@@ -260,8 +260,9 @@ func TestFingerprintLaneQuality(t *testing.T) {
 }
 
 // TestDigestCacheCoherence drives random schedules that also arm crash
-// limits, crash processes, seed registers and abandon through an empty
-// scheduler. After every operation three engines in the same
+// limits, crash processes, seed registers, abandon through an empty
+// scheduler, step through StepUndo, and take a hashed StepUndo back with
+// Undo. After every operation three engines in the same
 // configuration must agree on both the plain and the canonical
 // fingerprint: the engine with its cached digests, its CloneInto copy in a
 // recycled engine (two engines alternate, so each copy lands on an engine
@@ -314,8 +315,23 @@ func TestDigestCacheCoherence(t *testing.T) {
 						set = append(set, j)
 					}
 				}
-				o = func(e *sim.Engine[core.FiveVal]) { e.Step(set) }
-				kinds["Step"]++
+				switch r {
+				case 4:
+					o = func(e *sim.Engine[core.FiveVal]) { e.StepUndo(set, new(sim.Undo[core.FiveVal])) }
+					kinds["StepUndo"]++
+				case 5:
+					// The stepped digests are cached, then taken back.
+					o = func(e *sim.Engine[core.FiveVal]) {
+						var u sim.Undo[core.FiveVal]
+						e.StepUndo(set, &u)
+						e.CanonicalFingerprintHash128()
+						e.Undo(&u)
+					}
+					kinds["Undo"]++
+				default:
+					o = func(e *sim.Engine[core.FiveVal]) { e.Step(set) }
+					kinds["Step"]++
+				}
 			}
 			o(e)
 			ops = append(ops, o)
@@ -339,7 +355,7 @@ func TestDigestCacheCoherence(t *testing.T) {
 			}
 		}
 	}
-	for _, k := range []string{"Step", "CrashAfter", "Crash", "SeedRegisters", "abandon"} {
+	for _, k := range []string{"Step", "CrashAfter", "Crash", "SeedRegisters", "abandon", "StepUndo", "Undo"} {
 		if kinds[k] == 0 {
 			t.Errorf("no %s operation was exercised", k)
 		}

@@ -68,8 +68,8 @@ type Node[V any] interface {
 	Clone() Node[V]
 }
 
-// Copier is optionally implemented by node types so that CloneInto can
-// overwrite a recycled engine's node storage in place instead of
+// Copier is optionally implemented by node types so that CloneInto and
+// StepUndo can overwrite node storage they already own instead of
 // allocating a Clone per node. It is not generic over the register type:
 // asserting a node to an interface that does not depend on V stays a
 // cached check on the hot path.
@@ -345,9 +345,85 @@ var _ schedule.State = (*Engine[int])(nil)
 //
 // The returned slice is scratch storage owned by the engine, valid until
 // its next Step; callers that retain it across steps must copy it.
-func (e *Engine[V]) Step(active []int) []int {
-	e.t++
+func (e *Engine[V]) Step(active []int) []int { return e.step(active, nil) }
 
+// Undo is the record StepUndo keeps of one step so that Engine.Undo can
+// take it back. Its zero value is ready to use, and one record serves any
+// number of StepUndo/Undo pairs in turn; the model checker keeps one per
+// DFS depth. The record also owns the spare node objects StepUndo
+// installs in place of the performed processes' nodes.
+type Undo[V any] struct {
+	t      int
+	saved  []savedProc[V]
+	spares []Node[V] // spares[k] stands in for the k-th performed node
+}
+
+// savedProc is one performed process's state as it was before the step.
+type savedProc[V any] struct {
+	i       int
+	node    Node[V]
+	reg     Cell[V]
+	done    bool
+	crashed bool
+	stale   bool
+	output  int
+	acts    int
+	dig     digest
+}
+
+// StepUndo is Step, recording in u what the step changes so that Undo(u)
+// restores the configuration exactly. Every performed process runs on a
+// spare copy of its node — copied by Copier.CopyInto into u's spare where
+// possible, cloned otherwise — while its original node object waits in u
+// to be reinstalled; the other processes are not touched. Steps are taken
+// back last in, first out: between StepUndo(…, u) and Undo(u) the engine
+// may only take further StepUndo/Undo pairs of other records. Hooks and
+// the metrics sink fire as for Step.
+func (e *Engine[V]) StepUndo(active []int, u *Undo[V]) []int { return e.step(active, u) }
+
+// Undo takes back the step recorded in u: the performed processes get
+// their original nodes, registers, flags, outputs, activation counts and
+// cached digests back, and the clock its old value. The spare nodes stay
+// in u for its next StepUndo, which overwrites them before use.
+func (e *Engine[V]) Undo(u *Undo[V]) {
+	for k := range u.saved {
+		s := &u.saved[k]
+		i := s.i
+		e.nodes[i], s.node = s.node, nil
+		e.regs[i] = s.reg
+		e.done[i] = s.done
+		e.crashed[i] = s.crashed
+		e.stale[i] = s.stale
+		e.outputs[i] = s.output
+		e.acts[i] = s.acts
+		e.dig[i] = s.dig
+	}
+	e.t = u.t
+}
+
+// save records the performed processes' state in u and installs u's
+// spare copies of their nodes.
+func (u *Undo[V]) save(e *Engine[V], performed []int) {
+	u.t = e.t
+	u.saved = slices.Grow(u.saved[:0], len(performed))[:len(performed)]
+	for k, i := range performed {
+		nd := e.nodes[i]
+		if k == len(u.spares) {
+			u.spares = append(u.spares, nil)
+		}
+		if c, ok := nd.(Copier); !ok || u.spares[k] == nil || !c.CopyInto(u.spares[k]) {
+			u.spares[k] = nd.Clone()
+		}
+		s := &u.saved[k] // filled field by field: a composite literal would be copied
+		s.i, s.node, s.reg = i, nd, e.regs[i]
+		s.done, s.crashed, s.stale = e.done[i], e.crashed[i], e.stale[i]
+		s.output, s.acts, s.dig = e.outputs[i], e.acts[i], e.dig[i]
+		e.nodes[i] = u.spares[k]
+	}
+}
+
+// step is Step, plus the undo record when u is non-nil.
+func (e *Engine[V]) step(active []int, u *Undo[V]) []int {
 	// Deduplicate and filter to working processes, in reused scratch.
 	if e.inSetBuf == nil {
 		e.inSetBuf = make([]bool, len(e.nodes))
@@ -365,6 +441,10 @@ func (e *Engine[V]) Step(active []int) []int {
 	}
 	sort.Ints(performed)
 	e.performedBuf = performed
+	if u != nil {
+		u.save(e, performed)
+	}
+	e.t++
 
 	if e.mode == ModeSimultaneous {
 		// Phase 1: all activated processes write; phase 2: all read.
@@ -527,15 +607,15 @@ func (e *Engine[V]) appendValues(buf []int) []int {
 func (e *Engine[V]) Clone() *Engine[V] { return e.CloneInto(nil) }
 
 // CloneInto deep-copies e into dst, reusing dst's storage where its
-// capacities allow — the model checker recycles discarded branch engines
-// through a free list, so the steady state of exploration allocates
-// nothing. Nodes implementing Copier are copied into dst's own node
-// structs in place, so dst must own its nodes: never pass an engine whose
-// node state machines are still referenced elsewhere (an engine built by
-// NewEngine from nodes the caller kept, say). Engines produced by Clone or
-// CloneInto own theirs. dst == nil (or a fresh engine) behaves like
-// Clone. dst's scratch buffers are kept as its own; hooks are
-// deliberately not copied, so checker branches stay silent. Returns dst.
+// capacities allow, so a caller that recycles engines (the schedule
+// fuzzer's clone-step leg, say) copies without allocating. Nodes
+// implementing Copier are copied into dst's own node structs in place, so
+// dst must own its nodes: never pass an engine whose node state machines
+// are still referenced elsewhere (an engine built by NewEngine from nodes
+// the caller kept, say). Engines produced by Clone or CloneInto own
+// theirs. dst == nil (or a fresh engine) behaves like Clone. dst's
+// scratch buffers are kept as its own; hooks are deliberately not copied,
+// so checker branches stay silent. Returns dst.
 func (e *Engine[V]) CloneInto(dst *Engine[V]) *Engine[V] {
 	if dst == nil {
 		dst = &Engine[V]{}
