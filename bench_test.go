@@ -11,10 +11,12 @@ package asynccycle_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
 	"asynccycle"
+	"asynccycle/internal/bigsim"
 	"asynccycle/internal/conc"
 	"asynccycle/internal/core"
 	"asynccycle/internal/cv"
@@ -292,5 +294,59 @@ func BenchmarkWorstActivationsC4(b *testing.B) {
 		if _, ok, _ := model.WorstActivations(e, model.Options{SingletonsOnly: true}); !ok {
 			b.Fatal("analysis inconclusive")
 		}
+	}
+}
+
+// BenchmarkBigRun times full Algorithm 2 runs on the big engine at
+// n = 10⁵ under bigcurve's three drivers — batched round-robin(1),
+// random-subset(p=0.40) and the sharded executor at GOMAXPROCS workers —
+// with incremental checking on, and reports the wall time per activation.
+// Reset and scheduler construction stay outside the timer.
+func BenchmarkBigRun(b *testing.B) {
+	const n = 100_000
+	d, err := protocol.Lookup("five")
+	if err != nil {
+		b.Fatal(err)
+	}
+	xs := ids.MustGenerate(ids.Random, n, 1)
+	k, err := d.BigKernel(xs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := bigsim.New(k)
+	e.SetIncremental(true)
+	for _, bc := range []struct {
+		name  string
+		sched func() bigsim.Sched // nil: the sharded executor
+	}{
+		{"rr", func() bigsim.Sched { return bigsim.NewRR(1) }},
+		{"random", func() bigsim.Sched { return bigsim.NewRandomSubset(0.4, 1) }},
+		{"sharded", nil},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var activations int64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := e.Reset(xs); err != nil {
+					b.Fatal(err)
+				}
+				var s bigsim.Sched
+				if bc.sched != nil {
+					s = bc.sched()
+				}
+				b.StartTimer()
+				var reason runctl.StopReason
+				if s != nil {
+					reason, err = e.RunBudget(nil, s, runctl.Budget{})
+				} else {
+					reason, err = e.RunSharded(nil, runtime.GOMAXPROCS(0), runctl.Budget{})
+				}
+				if err != nil || reason != runctl.StopNone {
+					b.Fatalf("run: reason=%q err=%v", reason, err)
+				}
+				activations += e.TotalActivations()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(activations), "ns/activation")
+		})
 	}
 }

@@ -46,28 +46,51 @@ func TestStepAllocs(t *testing.T) {
 	}
 }
 
-// TestRunAllocs pins the batched round-robin full-run path, Reset
-// included, at zero allocations once warm.
+// TestRunAllocs pins the full-run paths, Reset included, at zero
+// allocations once warm, for every kernel: batched round-robin, and
+// random-subset decoded from the frontier words with one scheduler reused
+// across runs (its draws continue, so each run is a different schedule).
 func TestRunAllocs(t *testing.T) {
 	const n = 1024
 	xs := ids.RandomIDs(n, 2)
-	k, err := NewFastKernel(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(k)
-	e.SetIncremental(true)
-	rr := NewRR(1)
-	run := func() {
-		if err := e.Reset(xs); err != nil {
-			t.Fatal(err)
+	for _, mk := range []struct {
+		name string
+		k    func([]int) (Kernel, error)
+	}{
+		{"six", NewSixKernel},
+		{"five", NewFiveKernel},
+		{"fast", NewFastKernel},
+	} {
+		for _, sc := range []struct {
+			name string
+			s    Sched
+		}{
+			{"rr", NewRR(1)},
+			{"random", NewRandomSubset(0.4, 3)},
+		} {
+			t.Run(mk.name+"/"+sc.name, func(t *testing.T) {
+				k, err := mk.k(xs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e := New(k)
+				e.SetIncremental(true)
+				run := func() {
+					if err := e.Reset(xs); err != nil {
+						t.Fatal(err)
+					}
+					if err := e.Run(sc.s, 1<<40); err != nil {
+						t.Fatal(err)
+					}
+					if e.nWork != 0 || e.total < n {
+						t.Fatalf("run ended with %d working nodes after %d activations", e.nWork, e.total)
+					}
+				}
+				run() // warm
+				if avg := testing.AllocsPerRun(10, run); avg != 0 {
+					t.Errorf("warm full run: %.2f allocs/op, want 0", avg)
+				}
+			})
 		}
-		if err := e.Run(rr, 1<<40); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run() // warm
-	if avg := testing.AllocsPerRun(10, run); avg != 0 {
-		t.Errorf("warm batched full run: %.2f allocs/op, want 0", avg)
 	}
 }

@@ -173,6 +173,40 @@ func (e *Engine) AppendWorking(buf []int) []int {
 	return buf
 }
 
+// appendWorkingIn appends the working nodes of [lo, hi) in ascending
+// order until buf reaches its capacity, skipping empty frontier words.
+func (e *Engine) appendWorkingIn(buf []int32, lo, hi int) []int32 {
+	for w := lo >> 6; w<<6 < hi && len(buf) < cap(buf); w++ {
+		word := e.work[w]
+		if w == lo>>6 {
+			word &= ^uint64(0) << (uint(lo) & 63)
+		}
+		if end := hi - w<<6; end < 64 {
+			word &= uint64(1)<<uint(end) - 1
+		}
+		for ; word != 0 && len(buf) < cap(buf); word &= word - 1 {
+			buf = append(buf, int32(w<<6+trailingZeros(word)))
+		}
+	}
+	return buf
+}
+
+// workingAt returns the k-th working node in ascending order, for
+// 0 ≤ k < nWork, skipping whole frontier words by popcount.
+func (e *Engine) workingAt(k int) int32 {
+	for w, word := range e.work {
+		if c := popcount(word); k >= c {
+			k -= c
+			continue
+		}
+		for ; k > 0; k-- {
+			word &= word - 1
+		}
+		return int32(w<<6 + trailingZeros(word))
+	}
+	panic("bigsim: workingAt past the last working node")
+}
+
 // Done reports whether process i terminated.
 func (e *Engine) Done(i int) bool { return bitGet(e.done, i) }
 
@@ -231,7 +265,6 @@ func (e *Engine) crash(i int32) {
 // dropped, the survivors execute in ascending order under the engine's
 // mode. It returns how many processes performed a round.
 func (e *Engine) Step(active []int32) int {
-	e.t++
 	performed := e.perfBuf[:0]
 	for _, i := range active {
 		if i < 0 || int(i) >= e.n || bitGet(e.inSet, int(i)) || !bitGet(e.work, int(i)) {
@@ -245,26 +278,34 @@ func (e *Engine) Step(active []int32) int {
 	}
 	slices.Sort(performed)
 	e.perfBuf = performed
+	return e.execute(performed)
+}
 
+// execute is Step's second half: one time step in which every node of set
+// performs a round under the engine's mode. set must be ascending,
+// distinct and all working — Step's filtered set, or a native decoder's
+// choice, which is all three by construction.
+func (e *Engine) execute(set []int32) int {
+	e.t++
 	if e.mode == sim.ModeSimultaneous {
-		for _, i := range performed {
+		for _, i := range set {
 			e.k.Publish(i)
 		}
-		for _, i := range performed {
+		for _, i := range set {
 			done, out := e.k.Observe(i)
 			e.account(i, done, out)
 		}
 	} else {
-		for _, i := range performed {
+		for _, i := range set {
 			done, out := e.k.Round(i)
 			e.account(i, done, out)
 		}
 	}
 	if e.met != nil {
 		e.met.Steps.Inc()
-		e.met.Activations.Add(int64(len(performed)))
+		e.met.Activations.Add(int64(len(set)))
 	}
-	return len(performed)
+	return len(set)
 }
 
 // account applies the round outcome of process i: activation count,
@@ -386,8 +427,13 @@ func (e *Engine) RunBudget(ctx context.Context, s Sched, b runctl.Budget) (runct
 }
 
 func (e *Engine) drive(ctx context.Context, s Sched, b runctl.Budget) (runctl.StopReason, error) {
-	rr, _ := s.(*rr1)
-	e.drv = driver{e: e, s: s, rr: rr}
+	e.drv = driver{e: e, s: s}
+	switch s := s.(type) {
+	case *rr1:
+		e.drv.rr = s
+	case *randomSubset, *randomOne:
+		e.drv.native = true
+	}
 	reason, err := runctl.Drive(ctx, b, &e.drv)
 	e.drv = driver{} // do not keep the scheduler alive past its run
 	return reason, err
@@ -396,9 +442,10 @@ func (e *Engine) drive(ctx context.Context, s Sched, b runctl.Budget) (runctl.St
 // driver binds the engine to the scheduler of one run for runctl.Drive.
 // The engine embeds it, so starting a run allocates nothing.
 type driver struct {
-	e  *Engine
-	s  Sched
-	rr *rr1 // non-nil when s decodes in batches
+	e      *Engine
+	s      Sched
+	rr     *rr1 // non-nil when s decodes in batches
+	native bool // s's sets are ascending, distinct and all working
 }
 
 func (d *driver) AllSettled() bool { return d.e.nWork == 0 }
@@ -411,6 +458,9 @@ func (d *driver) Advance(limit int64) (int, error) {
 		return e.stepBatch(d.rr, limit)
 	}
 	e.schedBuf = d.s.Next(e, e.schedBuf[:0])
+	if d.native {
+		return e.execute(e.schedBuf), e.checkErr
+	}
 	return e.Step(e.schedBuf), e.checkErr
 }
 

@@ -16,6 +16,7 @@ package bigsim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"asynccycle/internal/core"
 	"asynccycle/internal/cv"
@@ -76,31 +77,9 @@ func checkCycleIDs(xs []int) error {
 	return nil
 }
 
-// mex8 returns min(ℕ ∖ used) over a tiny color set, mirroring core.mex.
-func mex8(used []uint8) uint8 {
-	for v := uint8(0); ; v++ {
-		found := false
-		for _, u := range used {
-			if u == v {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return v
-		}
-	}
-}
-
-// contains8 reports whether xs contains v.
-func contains8(xs []uint8, v uint8) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
+// mexMask returns min(ℕ ∖ S) for the color set S whose bit c is set when
+// c ∈ S, mirroring core.mex.
+func mexMask(used uint64) uint8 { return uint8(bits.TrailingZeros64(^used)) }
 
 // ---------------------------------------------------------------------------
 // Five: Algorithm 2 (wait-free 5-coloring in O(n) rounds).
@@ -173,27 +152,32 @@ func (k *fiveKernel) Observe(i int32) (bool, int32) {
 		r = 0
 	}
 	// Conflict sets mirror core.Five.Observe: all/higher over the present
-	// neighbors' published color pairs (≤ 4 values each on the cycle).
-	var allBuf, higherBuf [4]uint8
-	all, higher := allBuf[:0], higherBuf[:0]
+	// neighbors' published color pairs, as bitmasks (bit c ⇔ color c).
+	// Colors never exceed 4 (Theorem 3.11), so every shift stays in range.
+	var all, higher uint64
 	x := k.x[i]
-	for _, q := range [2]int32{l, r} {
-		if !k.present[q] {
-			continue
-		}
-		all = append(all, k.regA[q], k.regB[q])
-		if k.regX[q] > x {
-			higher = append(higher, k.regA[q], k.regB[q])
+	if k.present[l] {
+		m := uint64(1)<<k.regA[l] | uint64(1)<<k.regB[l]
+		all |= m
+		if k.regX[l] > x {
+			higher |= m
 		}
 	}
-	if !contains8(all, k.a[i]) {
-		return true, int32(k.a[i])
+	if k.present[r] {
+		m := uint64(1)<<k.regA[r] | uint64(1)<<k.regB[r]
+		all |= m
+		if k.regX[r] > x {
+			higher |= m
+		}
 	}
-	if !contains8(all, k.b[i]) {
-		return true, int32(k.b[i])
+	if a := k.a[i]; all&(1<<a) == 0 {
+		return true, int32(a)
 	}
-	k.a[i] = mex8(higher)
-	k.b[i] = mex8(all)
+	if b := k.b[i]; all&(1<<b) == 0 {
+		return true, int32(b)
+	}
+	k.a[i] = mexMask(higher)
+	k.b[i] = mexMask(all)
 	return false, 0
 }
 
@@ -283,22 +267,29 @@ func (k *sixKernel) Observe(i int32) (bool, int32) {
 	if !conflict {
 		return true, int32(core.EncodePair(int(a), int(b)))
 	}
-	var aBuf, bBuf [2]uint8
-	aUsed, bUsed := aBuf[:0], bBuf[:0]
+	// The used-component sets as bitmasks (bit c ⇔ component c). Pair
+	// components are ≤ 2 on the cycle — each is a mex over at most two
+	// neighbors — so every shift stays in range.
+	var aUsed, bUsed uint64
 	x := k.x[i]
-	for _, q := range [2]int32{l, r} {
-		if !k.present[q] {
-			continue
-		}
+	if k.present[l] {
 		switch {
-		case k.regX[q] > x:
-			aUsed = append(aUsed, k.regA[q])
-		case k.regX[q] < x:
-			bUsed = append(bUsed, k.regB[q])
+		case k.regX[l] > x:
+			aUsed |= 1 << k.regA[l]
+		case k.regX[l] < x:
+			bUsed |= 1 << k.regB[l]
 		}
 	}
-	k.a[i] = mex8(aUsed)
-	k.b[i] = mex8(bUsed)
+	if k.present[r] {
+		switch {
+		case k.regX[r] > x:
+			aUsed |= 1 << k.regA[r]
+		case k.regX[r] < x:
+			bUsed |= 1 << k.regB[r]
+		}
+	}
+	k.a[i] = mexMask(aUsed)
+	k.b[i] = mexMask(bUsed)
 	return false, 0
 }
 
@@ -394,33 +385,38 @@ func (k *fastKernel) Observe(i int32) (bool, int32) {
 	if r == n {
 		r = 0
 	}
-	// Coloring component (Algorithm 2 verbatim), mirroring core.Fast.
-	var allBuf, higherBuf [4]uint8
-	all, higher := allBuf[:0], higherBuf[:0]
+	// Coloring component (Algorithm 2 verbatim), mirroring core.Fast, with
+	// the conflict sets as bitmasks (bit c ⇔ color c). Colors never exceed
+	// 4 (Theorem 3.11), so every shift stays in range.
+	var all, higher uint64
 	x := k.x[i]
-	nPresent := 0
-	for _, q := range [2]int32{l, r} {
-		if !k.present[q] {
-			continue
-		}
-		nPresent++
-		all = append(all, k.regA[q], k.regB[q])
-		if k.regX[q] > x {
-			higher = append(higher, k.regA[q], k.regB[q])
+	lp, rp := k.present[l], k.present[r]
+	if lp {
+		m := uint64(1)<<k.regA[l] | uint64(1)<<k.regB[l]
+		all |= m
+		if k.regX[l] > x {
+			higher |= m
 		}
 	}
-	if !contains8(all, k.a[i]) {
-		return true, int32(k.a[i])
+	if rp {
+		m := uint64(1)<<k.regA[r] | uint64(1)<<k.regB[r]
+		all |= m
+		if k.regX[r] > x {
+			higher |= m
+		}
 	}
-	if !contains8(all, k.b[i]) {
-		return true, int32(k.b[i])
+	if a := k.a[i]; all&(1<<a) == 0 {
+		return true, int32(a)
 	}
-	k.a[i] = mex8(higher)
-	k.b[i] = mex8(all)
+	if b := k.b[i]; all&(1<<b) == 0 {
+		return true, int32(b)
+	}
+	k.a[i] = mexMask(higher)
+	k.b[i] = mexMask(all)
 
 	// Identifier-reduction component: waits for full neighborhood
 	// information, exactly as core.Fast does for ⊥ neighbors.
-	if k.rInf[i] || nPresent != 2 {
+	if k.rInf[i] || !lp || !rp {
 		return false, 0
 	}
 	// Green light: r_p ≤ min{r_q, r_q'}, ∞ never blocks.

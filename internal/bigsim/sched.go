@@ -9,13 +9,15 @@ import (
 // Sched produces activation sets for the big engine without allocating on
 // the warm path: Next appends into buf (the engine's reusable decode
 // buffer) and returns the extended slice. The scheduler families are
-// internal/schedule's own, adapted by Wrap; only two keep a native
-// implementation, because the frontier makes them cheaper — round-robin(1)
-// decodes whole sweeps at once, and random-one selects its node by
-// popcount. Both consume the same decision streams as their
-// internal/schedule counterparts, so a bigsim run and a sim run under
-// same-family, same-seed schedulers are byte-identical (pinned by the
-// differential tests).
+// internal/schedule's own, adapted by Wrap; three keep a native decoder,
+// because the frontier makes them cheaper — round-robin(1) decodes whole
+// sweeps at once, random-subset draws its decisions straight off the
+// frontier words, and random-one selects its node by popcount. All three
+// consume the same decision streams as their internal/schedule
+// counterparts, so a bigsim run and a sim run under same-family,
+// same-seed schedulers are byte-identical (pinned by the differential
+// tests). Their sets are ascending, distinct and all-working by
+// construction, so the engine executes them without Step's filter.
 type Sched interface {
 	Name() string
 	Next(e *Engine, buf []int32) []int32
@@ -61,7 +63,9 @@ func NewBurst(k int) Sched { return Wrap(schedule.NewBurst(k)) }
 
 // NewRandomSubset returns a random-subset scheduler with inclusion
 // probability p (clamped to (0, 1]) and the given seed.
-func NewRandomSubset(p float64, seed int64) Sched { return Wrap(schedule.NewRandomSubset(p, seed)) }
+func NewRandomSubset(p float64, seed int64) Sched {
+	return &randomSubset{schedule.NewRandomSubset(p, seed)}
+}
 
 // rr1 is schedule.RoundRobin of width 1 with batched decoding: NextBatch
 // appends up to cap(buf) singleton activations — each node at most once
@@ -80,24 +84,44 @@ func (r *rr1) Next(e *Engine, buf []int32) []int32 {
 }
 
 // NextBatch decodes one cyclic sweep of the working set, up to cap(buf)
-// singleton choices at once.
+// singleton choices at once, skipping empty frontier words.
 func (r *rr1) NextBatch(e *Engine, buf []int32) []int32 {
-	n := int32(e.n)
 	start := len(buf)
-	for scanned := int32(0); scanned < n && len(buf) < cap(buf); scanned++ {
-		i := r.next + scanned
-		if i >= n {
-			i -= n
-		}
-		if bitGet(e.work, int(i)) {
-			buf = append(buf, i)
-		}
+	next := int(r.next)
+	if next >= e.n {
+		next = 0
 	}
+	buf = e.appendWorkingIn(buf, next, e.n)
+	buf = e.appendWorkingIn(buf, 0, next)
 	if len(buf) > start {
 		r.next = buf[len(buf)-1] + 1
-		if r.next >= n {
+		if int(r.next) >= e.n {
 			r.next = 0
 		}
+	}
+	return buf
+}
+
+// randomSubset is schedule.RandomSubset decoded from the frontier words:
+// it consumes the reference's decision stream one word of working nodes
+// at a time (IncludeBits), plus one Fallback when every draw misses,
+// without listing the working set first.
+type randomSubset struct{ s *schedule.RandomSubset }
+
+func (r *randomSubset) Name() string { return r.s.Name() }
+
+func (r *randomSubset) Next(e *Engine, buf []int32) []int32 {
+	start := len(buf)
+	for w, word := range e.work {
+		if word == 0 {
+			continue
+		}
+		for chosen := r.s.IncludeBits(word); chosen != 0; chosen &= chosen - 1 {
+			buf = append(buf, int32(w<<6+trailingZeros(chosen)))
+		}
+	}
+	if len(buf) == start && e.nWork > 0 {
+		buf = append(buf, e.workingAt(r.s.Fallback(e.nWork)))
 	}
 	return buf
 }
@@ -120,21 +144,7 @@ func (s *randomOne) Next(e *Engine, buf []int32) []int32 {
 	if e.nWork == 0 {
 		return buf
 	}
-	k := s.rng.Intn(e.nWork)
-	// Select the k-th working node (ascending) by skipping whole bitset
-	// words via popcount.
-	for w, word := range e.work {
-		c := popcount(word)
-		if k >= c {
-			k -= c
-			continue
-		}
-		for ; k > 0; k-- {
-			word &= word - 1
-		}
-		return append(buf, int32(w*64+trailingZeros(word)))
-	}
-	return buf
+	return append(buf, e.workingAt(s.rng.Intn(e.nWork)))
 }
 
 // ParseSched resolves a scheduler family by the short name the CLIs and
@@ -150,6 +160,9 @@ func ParseSched(name string, seed int64) (Sched, error) {
 	s, err := schedule.Parse(name, seed)
 	if err != nil {
 		return nil, err
+	}
+	if rs, ok := s.(*schedule.RandomSubset); ok {
+		return &randomSubset{rs}, nil
 	}
 	return Wrap(s), nil
 }

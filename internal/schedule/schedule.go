@@ -127,10 +127,33 @@ func (s *RandomSubset) Next(st State, buf []int) []int {
 		}
 	}
 	if len(out) == start && len(working) > 0 {
-		out = append(out, working[s.rng.Intn(len(working))])
+		out = append(out, working[s.Fallback(len(working))])
 	}
 	return out
 }
+
+// IncludeBits draws Next's decisions for up to 64 working processes at
+// once, for a state that holds its working set as bitset words: one
+// Float64 per set bit of working, in ascending bit order, and the result
+// holds the bits whose draw came up below P. Calling it on a step's words
+// in ascending order, then Fallback if the step chose no one, consumes
+// exactly Next's draws.
+func (s *RandomSubset) IncludeBits(working uint64) uint64 {
+	var chosen uint64
+	for rest := working; rest != 0; rest &= rest - 1 {
+		var bit uint64 // a conditional move, not a branch: the draw is a coin flip
+		if s.rng.Float64() < s.P {
+			bit = rest & -rest
+		}
+		chosen |= bit
+	}
+	return chosen
+}
+
+// Fallback draws the index, among the nWork ≥ 1 working processes in
+// ascending order, of the one process a step activates when every draw
+// came up empty.
+func (s *RandomSubset) Fallback(nWork int) int { return s.rng.Intn(nWork) }
 
 // RandomOne activates a single uniformly random working process per step —
 // a natural sequential adversary with high interleaving variety.

@@ -1,6 +1,8 @@
 package schedule
 
 import (
+	"fmt"
+	"math/bits"
 	"testing"
 )
 
@@ -128,6 +130,46 @@ func TestRandomSubsetClampsP(t *testing.T) {
 	}
 	if s := NewRandomSubset(7, 0); s.P != 1 {
 		t.Errorf("p = %v, want 1", s.P)
+	}
+}
+
+// TestRandomSubsetIncludeBitsStream pins the word form of the decision
+// stream to Next: decoding each step's working set word by word with
+// IncludeBits, plus Fallback when no bit came up, must choose exactly
+// Next's sets under the same seed — across word boundaries, with stopped
+// processes, and at a p small enough that the fallback fires.
+func TestRandomSubsetIncludeBitsStream(t *testing.T) {
+	const n = 150
+	for _, p := range []float64{0.4, 0.002} {
+		st := newFakeState(n)
+		for _, i := range []int{0, 5, 63, 64, 100, 149} {
+			st.stopped[i] = true
+		}
+		ref, words := NewRandomSubset(p, 9), NewRandomSubset(p, 9)
+		for step := 0; step < 50; step++ {
+			want := ref.Next(st, nil)
+			var got []int
+			var frontier [(n + 63) / 64]uint64
+			nWork := 0
+			for i := 0; i < n; i++ {
+				if st.Working(i) {
+					frontier[i/64] |= 1 << (i % 64)
+					nWork++
+				}
+			}
+			for w, word := range frontier {
+				for chosen := words.IncludeBits(word); chosen != 0; chosen &= chosen - 1 {
+					got = append(got, w*64+bits.TrailingZeros64(chosen))
+				}
+			}
+			if len(got) == 0 {
+				got = append(got, st.AppendWorking(nil)[words.Fallback(nWork)])
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("p=%v step %d: word decoding chose %v, Next chose %v", p, step, got, want)
+			}
+			st.stopped[want[0]] = true // shrink the working set as runs do
+		}
 	}
 }
 

@@ -36,7 +36,8 @@ import (
 // neighbors' cells.
 type cycleSim[V any] struct {
 	inner       sim.Node[V]
-	left, right int // slots of the cycle neighbors within the K_n view
+	left, right int            // slots of the cycle neighbors within the K_n view
+	pair        [2]sim.Cell[V] // Observe's forwarded view, kept here so it does not escape per round
 }
 
 // WrapCycle wraps the nodes of a cycle algorithm for execution on the
@@ -75,8 +76,8 @@ func (c *cycleSim[V]) Publish() V { return c.inner.Publish() }
 
 // Observe implements sim.Node.
 func (c *cycleSim[V]) Observe(view []sim.Cell[V]) sim.Decision {
-	pair := [2]sim.Cell[V]{view[c.left], view[c.right]}
-	return c.inner.Observe(pair[:])
+	c.pair = [2]sim.Cell[V]{view[c.left], view[c.right]}
+	return c.inner.Observe(c.pair[:])
 }
 
 // Clone implements sim.Node.
