@@ -41,8 +41,9 @@ type Engine struct {
 	wrapBuf  []int  // a wrapped internal/schedule scheduler's choice
 	drv      driver // runctl.Drive's view of the current run
 
-	// res is the reusable Result storage: sized once per Reset, filled by
-	// Result(). Callers that retain a Result across Reset must copy it.
+	// res is the reusable Result storage, allocated by the first Result()
+	// call at the engine's size and refilled by each later one. Callers
+	// that retain a Result across Reset must copy it.
 	res sim.Result
 
 	met *metrics.Run
@@ -68,28 +69,23 @@ func (e *Engine) init(n int) {
 	e.limits = nil
 	e.perfBuf = make([]int32, 0, 256)
 	e.schedBuf = make([]int32, 4096)
-	e.res = sim.Result{
-		Outputs:     make([]int, n),
-		Done:        make([]bool, n),
-		Crashed:     make([]bool, n),
-		Activations: make([]int, n),
-	}
+	e.res = sim.Result{} // sized to n by the next Result()
 	e.resetCommon()
 }
 
 func (e *Engine) resetCommon() {
 	for i := range e.work {
 		e.work[i] = ^uint64(0)
-		e.done[i] = 0
-		e.crashed[i] = 0
-		e.inSet[i] = 0
 	}
 	if tail := e.n % 64; tail != 0 {
 		e.work[len(e.work)-1] = (uint64(1) << tail) - 1
 	}
+	clear(e.done)
+	clear(e.crashed)
+	clear(e.inSet)
 	e.nWork = e.n
-	for i := range e.acts {
-		e.acts[i] = 0
+	clear(e.acts)
+	for i := range e.outputs {
 		e.outputs[i] = -1
 	}
 	e.limits = nil
@@ -139,9 +135,12 @@ func (e *Engine) SetMetrics(r *metrics.Run) { e.met = r }
 // Kernel returns the engine's kernel.
 func (e *Engine) Kernel() Kernel { return e.k }
 
-// BytesPerNode is the total per-node memory footprint: kernel registers
-// and state plus the engine's own bookkeeping (three bitset bits, dedup
-// mark, acts, outputs, and the reusable Result storage).
+// BytesPerNode is the per-node memory that New and Reset allocate: the
+// kernel's registers and state plus the engine's own bookkeeping (acts,
+// outputs, and the work/done/crashed/dedup bitsets). Storage allocated on
+// demand is not counted: the Result snapshot (18 bytes/node, on the first
+// Result call) and the crash limits (4 bytes/node, on the first
+// CrashAfter).
 func (e *Engine) BytesPerNode() int {
 	return e.k.BytesPerNode() + 4 + 4 + 1 // acts + outputs + bitsets (4×⅛ rounded up)
 }
@@ -506,9 +505,18 @@ func (e *Engine) stepBatch(rr *rr1, limit int64) (int, error) {
 // --- results --------------------------------------------------------------
 
 // Result snapshots the execution as a sim.Result. The returned slices are
-// engine-owned, pre-sized storage reused across Reset: copy them to retain
-// beyond the engine's next Reset.
+// engine-owned storage, allocated by the first call at the engine's size
+// and reused by every later call and across Reset at that size: copy them
+// to retain beyond the engine's next Result or Reset.
 func (e *Engine) Result() sim.Result {
+	if len(e.res.Outputs) != e.n {
+		e.res = sim.Result{
+			Outputs:     make([]int, e.n),
+			Done:        make([]bool, e.n),
+			Crashed:     make([]bool, e.n),
+			Activations: make([]int, e.n),
+		}
+	}
 	for i := 0; i < e.n; i++ {
 		e.res.Outputs[i] = int(e.outputs[i])
 		e.res.Done[i] = bitGet(e.done, i)

@@ -254,8 +254,8 @@ func TestBytesPerNode(t *testing.T) {
 		mk   func([]int) (Kernel, error)
 		want int
 	}{
-		{"six", NewSixKernel, 21},
-		{"five", NewFiveKernel, 21},
+		{"six", NewSixKernel, 13},
+		{"five", NewFiveKernel, 13},
 		{"fast", NewFastKernel, 31},
 	} {
 		k, err := c.mk(xs)

@@ -66,15 +66,40 @@ func checkCycleIDs(xs []int) error {
 	if n < 3 {
 		return fmt.Errorf("bigsim: cycle needs n ≥ 3, got %d", n)
 	}
-	for i, x := range xs {
+	// Node by node in index order, so the first offending node names the
+	// error; the wrap edge (n−1, 0) is node n−1's, checked after the loop.
+	for i, x := range xs[:n-1] {
 		if x < 0 {
-			return fmt.Errorf("bigsim: negative identifier %d at node %d", x, i)
+			return negativeID(i, x)
 		}
-		if x == xs[(i+1)%n] {
-			return fmt.Errorf("bigsim: identifiers must differ across every cycle edge (nodes %d and %d share %d)", i, (i+1)%n, x)
+		if x == xs[i+1] {
+			return edgeConflict(i, i+1, x)
 		}
 	}
+	last := xs[n-1]
+	if last < 0 {
+		return negativeID(n-1, last)
+	}
+	if last == xs[0] {
+		return edgeConflict(n-1, 0, last)
+	}
 	return nil
+}
+
+func negativeID(i, x int) error {
+	return fmt.Errorf("bigsim: negative identifier %d at node %d", x, i)
+}
+
+func edgeConflict(i, j, x int) error {
+	return fmt.Errorf("bigsim: identifiers must differ across every cycle edge (nodes %d and %d share %d)", i, j, x)
+}
+
+// copyIDs stores the checked identifiers as a kernel's initial x.
+func copyIDs(x []int64, xs []int) {
+	x = x[:len(xs)]
+	for i, v := range xs {
+		x[i] = int64(v)
+	}
 }
 
 // mexMask returns min(ℕ ∖ S) for the color set S whose bit c is set when
@@ -86,14 +111,15 @@ func mexMask(used uint64) uint8 { return uint8(bits.TrailingZeros64(^used)) }
 // ---------------------------------------------------------------------------
 
 // fiveKernel is core.Five in struct-of-arrays form: state (x, a, b) and
-// register (regX, regA, regB, present) slices. Colors never exceed 4
+// register (regA, regB, present) slices. Colors never exceed 4
 // (Theorem 3.11), so they pack into single bytes; identifiers span the
-// poly(n) input range and need 64 bits.
+// poly(n) input range and need 64 bits. The register has no identifier
+// copy: x is never written after Reset, so a present neighbor's published
+// identifier is its x.
 type fiveKernel struct {
 	n       int
 	x       []int64
 	a, b    []uint8
-	regX    []int64
 	regA    []uint8
 	regB    []uint8
 	present []bool
@@ -121,22 +147,21 @@ func (k *fiveKernel) Reset(xs []int) error {
 		k.x = make([]int64, n)
 		k.a = make([]uint8, n)
 		k.b = make([]uint8, n)
-		k.regX = make([]int64, n)
 		k.regA = make([]uint8, n)
 		k.regB = make([]uint8, n)
 		k.present = make([]bool, n)
+	} else {
+		clear(k.a)
+		clear(k.b)
+		clear(k.regA)
+		clear(k.regB)
+		clear(k.present)
 	}
-	for i, x := range xs {
-		k.x[i] = int64(x)
-		k.a[i], k.b[i] = 0, 0
-		k.regX[i], k.regA[i], k.regB[i] = 0, 0, 0
-		k.present[i] = false
-	}
+	copyIDs(k.x, xs)
 	return nil
 }
 
 func (k *fiveKernel) Publish(i int32) {
-	k.regX[i] = k.x[i]
 	k.regA[i] = k.a[i]
 	k.regB[i] = k.b[i]
 	k.present[i] = true
@@ -154,19 +179,20 @@ func (k *fiveKernel) Observe(i int32) (bool, int32) {
 	// Conflict sets mirror core.Five.Observe: all/higher over the present
 	// neighbors' published color pairs, as bitmasks (bit c ⇔ color c).
 	// Colors never exceed 4 (Theorem 3.11), so every shift stays in range.
+	// A present neighbor's published identifier is its x (see fiveKernel).
 	var all, higher uint64
 	x := k.x[i]
 	if k.present[l] {
 		m := uint64(1)<<k.regA[l] | uint64(1)<<k.regB[l]
 		all |= m
-		if k.regX[l] > x {
+		if k.x[l] > x {
 			higher |= m
 		}
 	}
 	if k.present[r] {
 		m := uint64(1)<<k.regA[r] | uint64(1)<<k.regB[r]
 		all |= m
-		if k.regX[r] > x {
+		if k.x[r] > x {
 			higher |= m
 		}
 	}
@@ -189,7 +215,7 @@ func (k *fiveKernel) Round(i int32) (bool, int32) {
 func (k *fiveKernel) ValidOutput(c int32) bool { return c >= 0 && c < 5 }
 
 func (k *fiveKernel) BytesPerNode() int {
-	return 8 + 1 + 1 + 8 + 1 + 1 + 1 // x a b regX regA regB present
+	return 8 + 1 + 1 + 1 + 1 + 1 // x a b regA regB present
 }
 
 // ---------------------------------------------------------------------------
@@ -198,12 +224,13 @@ func (k *fiveKernel) BytesPerNode() int {
 
 // sixKernel is core.Pair in struct-of-arrays form. Pair components on the
 // cycle are mex values over at most two neighbors, hence ≤ 2 and
-// byte-sized; the encoded output core.EncodePair(a, b) fits an int32.
+// byte-sized; the encoded output core.EncodePair(a, b) fits an int32. As in
+// fiveKernel, x is never written after Reset, so the register keeps no
+// copy of it.
 type sixKernel struct {
 	n       int
 	x       []int64
 	a, b    []uint8
-	regX    []int64
 	regA    []uint8
 	regB    []uint8
 	present []bool
@@ -231,22 +258,21 @@ func (k *sixKernel) Reset(xs []int) error {
 		k.x = make([]int64, n)
 		k.a = make([]uint8, n)
 		k.b = make([]uint8, n)
-		k.regX = make([]int64, n)
 		k.regA = make([]uint8, n)
 		k.regB = make([]uint8, n)
 		k.present = make([]bool, n)
+	} else {
+		clear(k.a)
+		clear(k.b)
+		clear(k.regA)
+		clear(k.regB)
+		clear(k.present)
 	}
-	for i, x := range xs {
-		k.x[i] = int64(x)
-		k.a[i], k.b[i] = 0, 0
-		k.regX[i], k.regA[i], k.regB[i] = 0, 0, 0
-		k.present[i] = false
-	}
+	copyIDs(k.x, xs)
 	return nil
 }
 
 func (k *sixKernel) Publish(i int32) {
-	k.regX[i] = k.x[i]
 	k.regA[i] = k.a[i]
 	k.regB[i] = k.b[i]
 	k.present[i] = true
@@ -269,22 +295,23 @@ func (k *sixKernel) Observe(i int32) (bool, int32) {
 	}
 	// The used-component sets as bitmasks (bit c ⇔ component c). Pair
 	// components are ≤ 2 on the cycle — each is a mex over at most two
-	// neighbors — so every shift stays in range.
+	// neighbors — so every shift stays in range. A present neighbor's
+	// published identifier is its x (see sixKernel).
 	var aUsed, bUsed uint64
 	x := k.x[i]
 	if k.present[l] {
 		switch {
-		case k.regX[l] > x:
+		case k.x[l] > x:
 			aUsed |= 1 << k.regA[l]
-		case k.regX[l] < x:
+		case k.x[l] < x:
 			bUsed |= 1 << k.regB[l]
 		}
 	}
 	if k.present[r] {
 		switch {
-		case k.regX[r] > x:
+		case k.x[r] > x:
 			aUsed |= 1 << k.regA[r]
-		case k.regX[r] < x:
+		case k.x[r] < x:
 			bUsed |= 1 << k.regB[r]
 		}
 	}
@@ -301,7 +328,7 @@ func (k *sixKernel) Round(i int32) (bool, int32) {
 func (k *sixKernel) ValidOutput(c int32) bool { return core.InPairPalette(int(c), 2) }
 
 func (k *sixKernel) BytesPerNode() int {
-	return 8 + 1 + 1 + 8 + 1 + 1 + 1
+	return 8 + 1 + 1 + 1 + 1 + 1 // x a b regA regB present
 }
 
 // ---------------------------------------------------------------------------
@@ -355,15 +382,19 @@ func (k *fastKernel) Reset(xs []int) error {
 		k.regA = make([]uint8, n)
 		k.regB = make([]uint8, n)
 		k.present = make([]bool, n)
+	} else {
+		clear(k.r)
+		clear(k.rInf)
+		clear(k.a)
+		clear(k.b)
+		clear(k.regX)
+		clear(k.regR)
+		clear(k.regRInf)
+		clear(k.regA)
+		clear(k.regB)
+		clear(k.present)
 	}
-	for i, x := range xs {
-		k.x[i] = int64(x)
-		k.r[i], k.rInf[i] = 0, false
-		k.a[i], k.b[i] = 0, 0
-		k.regX[i], k.regR[i], k.regRInf[i] = 0, 0, false
-		k.regA[i], k.regB[i] = 0, 0
-		k.present[i] = false
-	}
+	copyIDs(k.x, xs)
 	return nil
 }
 

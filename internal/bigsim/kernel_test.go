@@ -1,6 +1,8 @@
 package bigsim
 
 import (
+	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -60,9 +62,9 @@ func refSixObserve(k *sixKernel, i int32) (bool, int32) {
 			continue
 		}
 		switch {
-		case k.regX[q] > x:
+		case k.x[q] > x:
 			aUsed = append(aUsed, k.regA[q])
-		case k.regX[q] < x:
+		case k.x[q] < x:
 			bUsed = append(bUsed, k.regB[q])
 		}
 	}
@@ -81,7 +83,7 @@ func refFiveObserve(k *fiveKernel, i int32) (bool, int32) {
 			continue
 		}
 		all = append(all, k.regA[q], k.regB[q])
-		if k.regX[q] > x {
+		if k.x[q] > x {
 			higher = append(higher, k.regA[q], k.regB[q])
 		}
 	}
@@ -206,7 +208,8 @@ var idScales = []idScale{
 	{self: 1000, lower: [2]int64{300, 517}, higher: [2]int64{4097, 7000}},
 }
 
-// id is the identifier a register of the given side publishes.
+// id is the identifier a register of the given side publishes: fast's
+// regX, or six's and five's neighbor x.
 func (s idScale) id(side int, reg tableReg) int64 {
 	if !reg.present {
 		return 0
@@ -227,7 +230,8 @@ func (s idScale) id(side int, reg tableReg) int64 {
 // with a lower, equal or higher identifier and each in-range color pair —
 // under two identifier scales; for fast also every r/rInf combination on
 // both sides and for the node. Done flag, output and the whole post-state
-// must agree.
+// must agree. Six and five keep no register copy of the identifier, so
+// their tables set the neighbors' x, which both forms read.
 func TestKernelObserveTable(t *testing.T) {
 	xs := []int{10, 20, 30}
 	const i = 1 // observer; left neighbor 0, right neighbor 2
@@ -241,8 +245,8 @@ func TestKernelObserveTable(t *testing.T) {
 				for _, rr := range regs {
 					for _, k := range []*sixKernel{got, want} {
 						k.x[i] = sc.self
-						k.present[0], k.regX[0], k.regA[0], k.regB[0] = lr.present, sc.id(0, lr), lr.a, lr.b
-						k.present[2], k.regX[2], k.regA[2], k.regB[2] = rr.present, sc.id(1, rr), rr.a, rr.b
+						k.present[0], k.x[0], k.regA[0], k.regB[0] = lr.present, sc.id(0, lr), lr.a, lr.b
+						k.present[2], k.x[2], k.regA[2], k.regB[2] = rr.present, sc.id(1, rr), rr.a, rr.b
 					}
 					for a := uint8(0); a < 3; a++ {
 						for b := uint8(0); b < 3; b++ {
@@ -272,8 +276,8 @@ func TestKernelObserveTable(t *testing.T) {
 				for _, rr := range regs {
 					for _, k := range []*fiveKernel{got, want} {
 						k.x[i] = sc.self
-						k.present[0], k.regX[0], k.regA[0], k.regB[0] = lr.present, sc.id(0, lr), lr.a, lr.b
-						k.present[2], k.regX[2], k.regA[2], k.regB[2] = rr.present, sc.id(1, rr), rr.a, rr.b
+						k.present[0], k.x[0], k.regA[0], k.regB[0] = lr.present, sc.id(0, lr), lr.a, lr.b
+						k.present[2], k.x[2], k.regA[2], k.regB[2] = rr.present, sc.id(1, rr), rr.a, rr.b
 					}
 					for a := uint8(0); a < 5; a++ {
 						for b := uint8(0); b < 5; b++ {
@@ -344,14 +348,12 @@ func mustKernel(t *testing.T, mk func([]int) (Kernel, error), xs []int) Kernel {
 
 func sixEqual(p, q *sixKernel) bool {
 	return slices.Equal(p.x, q.x) && slices.Equal(p.a, q.a) && slices.Equal(p.b, q.b) &&
-		slices.Equal(p.regX, q.regX) && slices.Equal(p.regA, q.regA) && slices.Equal(p.regB, q.regB) &&
-		slices.Equal(p.present, q.present)
+		slices.Equal(p.regA, q.regA) && slices.Equal(p.regB, q.regB) && slices.Equal(p.present, q.present)
 }
 
 func fiveEqual(p, q *fiveKernel) bool {
 	return slices.Equal(p.x, q.x) && slices.Equal(p.a, q.a) && slices.Equal(p.b, q.b) &&
-		slices.Equal(p.regX, q.regX) && slices.Equal(p.regA, q.regA) && slices.Equal(p.regB, q.regB) &&
-		slices.Equal(p.present, q.present)
+		slices.Equal(p.regA, q.regA) && slices.Equal(p.regB, q.regB) && slices.Equal(p.present, q.present)
 }
 
 func fastEqual(p, q *fastKernel) bool {
@@ -359,4 +361,69 @@ func fastEqual(p, q *fastKernel) bool {
 		slices.Equal(p.a, q.a) && slices.Equal(p.b, q.b) &&
 		slices.Equal(p.regX, q.regX) && slices.Equal(p.regR, q.regR) && slices.Equal(p.regRInf, q.regRInf) &&
 		slices.Equal(p.regA, q.regA) && slices.Equal(p.regB, q.regB) && slices.Equal(p.present, q.present)
+}
+
+// refCheckCycleIDs is checkCycleIDs in its one-pass form, with the wrap
+// edge found by a modulo on every node: the reference TestCheckCycleIDs
+// holds the current form to, error for error.
+func refCheckCycleIDs(xs []int) error {
+	n := len(xs)
+	if n < 3 {
+		return fmt.Errorf("bigsim: cycle needs n ≥ 3, got %d", n)
+	}
+	for i, x := range xs {
+		if x < 0 {
+			return fmt.Errorf("bigsim: negative identifier %d at node %d", x, i)
+		}
+		if x == xs[(i+1)%n] {
+			return fmt.Errorf("bigsim: identifiers must differ across every cycle edge (nodes %d and %d share %d)", i, (i+1)%n, x)
+		}
+	}
+	return nil
+}
+
+// TestCheckCycleIDs: the same inputs give the same errors as the
+// reference, on named cases — among them a conflict on the wrap edge and
+// a negative identifier at the last index — and on random short cycles
+// over a tiny value range, where conflicts and negatives are common.
+func TestCheckCycleIDs(t *testing.T) {
+	errString := func(err error) string {
+		if err == nil {
+			return "<nil>"
+		}
+		return err.Error()
+	}
+	for _, c := range []struct {
+		xs   []int
+		want string // "" for nil
+	}{
+		{nil, "bigsim: cycle needs n ≥ 3, got 0"},
+		{[]int{1, 2}, "bigsim: cycle needs n ≥ 3, got 2"},
+		{[]int{1, 2, 3}, ""},
+		{[]int{1, 1, 2}, "bigsim: identifiers must differ across every cycle edge (nodes 0 and 1 share 1)"},
+		{[]int{2, 3, 4, 2}, "bigsim: identifiers must differ across every cycle edge (nodes 3 and 0 share 2)"},
+		{[]int{1, 2, -3}, "bigsim: negative identifier -3 at node 2"},
+		{[]int{-1, 2, -1}, "bigsim: negative identifier -1 at node 0"},
+		{[]int{4, 4, -1}, "bigsim: identifiers must differ across every cycle edge (nodes 0 and 1 share 4)"},
+		{[]int{3, 5, 7, 9, 3}, "bigsim: identifiers must differ across every cycle edge (nodes 4 and 0 share 3)"},
+	} {
+		got, ref := errString(checkCycleIDs(c.xs)), errString(refCheckCycleIDs(c.xs))
+		want := c.want
+		if want == "" {
+			want = "<nil>"
+		}
+		if got != want || ref != want {
+			t.Errorf("%v: got %q, reference %q, want %q", c.xs, got, ref, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 20000; trial++ {
+		xs := make([]int, rng.Intn(7))
+		for i := range xs {
+			xs[i] = rng.Intn(4) - 1
+		}
+		if got, want := errString(checkCycleIDs(xs)), errString(refCheckCycleIDs(xs)); got != want {
+			t.Fatalf("%v: got %q, want %q", xs, got, want)
+		}
+	}
 }

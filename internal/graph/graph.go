@@ -73,10 +73,15 @@ func Cycle(n int) (Graph, error) {
 	if n < 3 {
 		return Graph{}, fmt.Errorf("graph: cycle of length %d: %w", n, ErrTooSmall)
 	}
+	// Every list is cut from one array and capped at its length, so a
+	// caller's append reallocates instead of overwriting the next list.
 	adj := make([][]int, n)
+	nbrs := make([]int, 2*n)
 	for i := range adj {
-		adj[i] = []int{(i + n - 1) % n, (i + 1) % n}
+		nbrs[2*i], nbrs[2*i+1] = i-1, i+1
+		adj[i] = nbrs[2*i : 2*i+2 : 2*i+2]
 	}
+	nbrs[0], nbrs[2*n-1] = n-1, 0 // the wrap edge
 	return Graph{name: fmt.Sprintf("C%d", n), adj: adj}, nil
 }
 
@@ -95,16 +100,17 @@ func Path(n int) (Graph, error) {
 	if n < 2 {
 		return Graph{}, fmt.Errorf("graph: path of length %d: %w", n, ErrTooSmall)
 	}
-	adj := make([][]int, n)
+	adj := make([][]int, n) // lists cut from one array, as in Cycle
+	nbrs := make([]int, 0, 2*n-2)
 	for i := range adj {
-		switch {
-		case i == 0:
-			adj[i] = []int{1}
-		case i == n-1:
-			adj[i] = []int{n - 2}
-		default:
-			adj[i] = []int{i - 1, i + 1}
+		lo := len(nbrs)
+		if i > 0 {
+			nbrs = append(nbrs, i-1)
 		}
+		if i < n-1 {
+			nbrs = append(nbrs, i+1)
+		}
+		adj[i] = nbrs[lo:len(nbrs):len(nbrs)]
 	}
 	return Graph{name: fmt.Sprintf("P%d", n), adj: adj}, nil
 }

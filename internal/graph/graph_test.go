@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -67,6 +68,55 @@ func TestPath(t *testing.T) {
 	}
 	if _, err := Path(1); !errors.Is(err, ErrTooSmall) {
 		t.Errorf("Path(1) err = %v", err)
+	}
+}
+
+// TestCycleAndPathLists: the neighbor lists cut from one shared array
+// match the per-node lists, in the same order, and each is capped, so an
+// append to one node's list leaves the next node's list as it was.
+func TestCycleAndPathLists(t *testing.T) {
+	for n := 2; n <= 9; n++ {
+		var graphs []Graph
+		var want [][][]int
+		if n >= 3 {
+			graphs = append(graphs, MustCycle(n))
+			adj := make([][]int, n)
+			for i := range adj {
+				adj[i] = []int{(i + n - 1) % n, (i + 1) % n}
+			}
+			want = append(want, adj)
+		}
+		p, err := Path(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, p)
+		adj := make([][]int, n)
+		for i := range adj {
+			if i > 0 {
+				adj[i] = append(adj[i], i-1)
+			}
+			if i < n-1 {
+				adj[i] = append(adj[i], i+1)
+			}
+		}
+		want = append(want, adj)
+
+		for gi, g := range graphs {
+			for u := 0; u < n; u++ {
+				if !slices.Equal(g.Neighbors(u), want[gi][u]) {
+					t.Fatalf("%s: neighbors of %d = %v, want %v", g.Name(), u, g.Neighbors(u), want[gi][u])
+				}
+				if grown := append(g.Neighbors(u), -1); grown[len(grown)-1] != -1 {
+					t.Fatalf("%s: append to the neighbors of %d lost its element", g.Name(), u)
+				}
+			}
+			for u := 0; u < n; u++ {
+				if !slices.Equal(g.Neighbors(u), want[gi][u]) {
+					t.Fatalf("%s: an append overwrote the neighbors of %d: %v, want %v", g.Name(), u, g.Neighbors(u), want[gi][u])
+				}
+			}
+		}
 	}
 }
 

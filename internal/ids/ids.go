@@ -9,6 +9,7 @@ package ids
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
@@ -111,19 +112,18 @@ func MustGenerate(a Assignment, n int, seed int64) []int {
 }
 
 // RandomIDs returns n distinct identifiers drawn uniformly from [0, n²)
-// (or [0, 4) for n < 2, keeping the range nonempty), in random cycle order.
+// (or [0, 4) for n < 2, keeping the range nonempty), in random cycle order:
+// the first n distinct draws, a repeated draw skipped.
 func RandomIDs(n int, seed int64) []int {
 	rng := rand.New(rand.NewSource(seed))
 	rangeMax := n * n
 	if rangeMax < 4 {
 		rangeMax = 4
 	}
-	chosen := make(map[int]bool, n)
+	chosen := newIDSet(n)
 	out := make([]int, 0, n)
 	for len(out) < n {
-		x := rng.Intn(rangeMax)
-		if !chosen[x] {
-			chosen[x] = true
+		if x := rng.Intn(rangeMax); chosen.add(x) {
 			out = append(out, x)
 		}
 	}
@@ -133,14 +133,47 @@ func RandomIDs(n int, seed int64) []int {
 // Unique reports whether all identifiers are distinct and non-negative —
 // the paper's global input precondition.
 func Unique(xs []int) bool {
-	seen := make(map[int]bool, len(xs))
+	seen := newIDSet(len(xs))
 	for _, x := range xs {
-		if x < 0 || seen[x] {
+		if x < 0 || !seen.add(x) {
 			return false
 		}
-		seen[x] = true
 	}
 	return true
+}
+
+// idSet is a set of non-negative ints in one flat open-addressing table
+// with linear probing, kept at most half full. A slot holds x+1, so a zero
+// slot is empty and a new table needs no fill.
+type idSet struct {
+	slots []uint64
+	shift uint // 64 − log₂ len(slots): a hash's top bits index the table
+}
+
+// newIDSet returns an empty set with room for n members.
+func newIDSet(n int) idSet {
+	size := 2
+	for size < 2*n {
+		size <<= 1
+	}
+	return idSet{slots: make([]uint64, size), shift: uint(64 - bits.TrailingZeros(uint(size)))}
+}
+
+// add inserts x ≥ 0 and reports whether it was absent.
+func (s idSet) add(x int) bool {
+	key := uint64(x) + 1
+	mask := uint64(len(s.slots) - 1)
+	// Fibonacci hashing: the multiply spreads consecutive and strided
+	// identifiers over the table's top-bit index.
+	for i := (key * 0x9e3779b97f4a7c15) >> s.shift; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = key
+			return true
+		case key:
+			return false
+		}
+	}
 }
 
 // ProperOnCycle reports whether the assignment properly colors the n-cycle

@@ -1,7 +1,11 @@
 package ids
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -133,6 +137,82 @@ func TestUnique(t *testing.T) {
 		if got := Unique(tt.xs); got != tt.want {
 			t.Errorf("Unique(%v) = %t", tt.xs, got)
 		}
+	}
+
+	// Random cases against a map oracle: duplicates planted at either end
+	// or in the middle, negatives, huge values, and n = 0 or 1.
+	oracle := func(xs []int) bool {
+		seen := make(map[int]bool, len(xs))
+		for _, x := range xs {
+			if x < 0 || seen[x] {
+				return false
+			}
+			seen[x] = true
+		}
+		return true
+	}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 5000; trial++ {
+		n := rng.Intn(40)
+		if trial%10 == 0 {
+			n = trial / 10 % 2 // n = 0 or 1
+		}
+		xs := RandomIDs(n, int64(trial))
+		switch trial % 5 {
+		case 1: // a duplicate of the first id at the end
+			if n > 1 {
+				xs[n-1] = xs[0]
+			}
+		case 2: // a duplicate of the last id at the start
+			if n > 1 {
+				xs[0] = xs[n-1]
+			}
+		case 3: // a negative anywhere
+			if n > 0 {
+				xs[rng.Intn(n)] = -1 - rng.Intn(3)
+			}
+		case 4: // values from a tiny or a huge range: collisions, and the top of int
+			for i := range xs {
+				if rng.Intn(2) == 0 {
+					xs[i] = rng.Intn(8)
+				} else {
+					xs[i] = int(^uint(0)>>1) - rng.Intn(8)
+				}
+			}
+		}
+		if got, want := Unique(xs), oracle(xs); got != want {
+			t.Fatalf("Unique(%v) = %t, oracle %t", xs, got, want)
+		}
+	}
+}
+
+// TestRandomIDsStream pins RandomIDs's output stream by a SHA-256 over
+// sizes and seeds: a change to the draws, to which draws are rejected as
+// repeats, or to their order changes the digest. n = 2 draws from [0, 4)
+// and exercises the reject path.
+func TestRandomIDsStream(t *testing.T) {
+	const want = "2c4786641416efc3fdc1f76dec7328bc4b544fab54f668cca61a3fb4c752831d"
+	h := sha256.New()
+	var buf [8]byte
+	for _, n := range []int{1, 2, 3, 5, 17, 1000, 123457, 1000000} {
+		for _, seed := range []int64{0, 1, 7777, -5} {
+			for _, x := range RandomIDs(n, seed) {
+				binary.LittleEndian.PutUint64(buf[:], uint64(x))
+				h.Write(buf[:])
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("RandomIDs stream digest %s, want %s", got, want)
+	}
+}
+
+var sinkIDs []int
+
+func BenchmarkRandomIDs(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkIDs = RandomIDs(1_000_000, int64(i))
 	}
 }
 
