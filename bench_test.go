@@ -267,19 +267,28 @@ func BenchmarkCanonicalFingerprint(b *testing.B) {
 
 // BenchmarkSweepC5 measures one exhaustive identifier sweep of Algorithm 2
 // on C5 — every assignment, singleton schedules, SymmetryFull — through
-// the registry, as sweep-c5 in perfbench and modelcheck -sweep run it.
+// the registry, as sweep-c5 in perfbench and modelcheck -sweep run it:
+// workers=1 is the serial loop, default the registry's one orbit worker
+// per CPU.
 func BenchmarkSweepC5(b *testing.B) {
 	d, err := protocol.Lookup("five")
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt := model.Options{SingletonsOnly: true, Symmetry: model.SymmetryFull}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rep, err := d.Sweep(5, sim.ModeInterleaved, opt)
-		if err != nil || !rep.AllOk || rep.States != 321860 || rep.Terminal != 17650 {
-			b.Fatalf("sweep: %v states=%d terminal=%d allok=%t", err, rep.States, rep.Terminal, rep.AllOk)
-		}
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{{"workers=1", 1}, {"default", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			opt := model.Options{SingletonsOnly: true, Symmetry: model.SymmetryFull, Workers: bc.workers}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rep, err := d.Sweep(5, sim.ModeInterleaved, opt)
+				if err != nil || !rep.AllOk || rep.States != 321860 || rep.Terminal != 17650 {
+					b.Fatalf("sweep: %v states=%d terminal=%d allok=%t", err, rep.States, rep.Terminal, rep.AllOk)
+				}
+			}
+		})
 	}
 }
 

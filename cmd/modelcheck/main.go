@@ -11,7 +11,7 @@
 //	           [-sweep] [-symmetry off|assignments|full] [-depth N]
 //	           [-timeout 30s] [-max-states N] [-progress 1s] [-metrics-json -]
 //	           [-spill-dir DIR] [-mem-limit N]
-//	           [-checkpoint FILE] [-resume] [-shard I/M] [-procs M] [-json]
+//	           [-checkpoint FILE] [-resume] [-shard I/M] [-json]
 //	           [-cpuprofile FILE] [-memprofile FILE]
 //
 // -list prints the table of registered protocols and exits. -topology
@@ -31,16 +31,22 @@
 // their descriptor's depth horizon and report PARTIAL — the verdict then
 // covers every schedule of at most that many ticks.
 //
+// -workers N sets the parallel workers. A -sweep explores N orbit
+// representatives at once and commits them in enumeration order, so its
+// report and checkpoints equal the serial sweep's; the default 0 uses
+// every CPU. A single check splits the root's frontier across N workers
+// when N > 1 and is serial otherwise.
+//
 // Out-of-core and resumable sweeps (see DESIGN.md §13): -spill-dir makes
 // each exploration's visited set disk-backed once it outgrows -mem-limit
-// resident fingerprints. -checkpoint makes a -sweep write a checksummed
-// checkpoint after every completed assignment orbit; an interrupted sweep
-// (Ctrl-C, SIGTERM, -timeout) restarted with -resume continues from the
-// checkpoint and finishes with counts bit-identical to an uninterrupted
-// run. -shard I/M explores only every M-th orbit representative (shard I,
-// zero-based); -procs M spawns M modelcheck worker processes, one per
-// shard, and merges their reports exactly. -json prints the final sweep
-// report as JSON (the coordinator's wire format).
+// resident fingerprints (per worker in a sweep). -checkpoint makes a
+// -sweep write a checksummed checkpoint after every completed assignment
+// orbit; an interrupted sweep (Ctrl-C, SIGTERM, -timeout) restarted with
+// -resume continues from the checkpoint and finishes with counts
+// bit-identical to an uninterrupted run, at any -workers. -shard I/M
+// explores only every M-th orbit representative (shard I, zero-based), and
+// -json prints the final sweep report as JSON: shard reports of a sweep
+// split across machines merge exactly with model.MergeSweepReports.
 //
 // A run stopped by -timeout or -max-states exits 0 with a report explicitly
 // marked PARTIAL: the verdicts cover exactly the explored region. Safety
@@ -98,7 +104,7 @@ func runContext(ctx context.Context, args []string, w, ew io.Writer) error {
 	sweep := fs.Bool("sweep", false, "check every identifier-rank assignment, not just the increasing one (fast|five|six|dp1)")
 	depth := fs.Int("depth", 0, "schedule-depth bound (0 = protocol default); deeper states are reported PARTIAL")
 	maxStates := fs.Int("max-states", 5_000_000, "state budget; a tripped budget yields a PARTIAL report")
-	workers := fs.Int("workers", 1, "frontier-parallel exploration workers (1 = serial DFS)")
+	workers := fs.Int("workers", 0, "parallel workers: a -sweep's orbit workers (0 = all CPUs); a single check splits its frontier when > 1")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget (0 = none); a tripped budget yields a PARTIAL report, exit 0")
 	progress := fs.Duration("progress", 0, "print a progress line to stderr every interval (0 = off)")
 	metricsJSON := fs.String("metrics-json", "", "write the final metrics snapshot as JSON to this file (\"-\" = stderr)")
@@ -107,7 +113,6 @@ func runContext(ctx context.Context, args []string, w, ew io.Writer) error {
 	checkpoint := fs.String("checkpoint", "", "write a resumable sweep checkpoint to this file after every completed assignment orbit (requires -sweep)")
 	resume := fs.Bool("resume", false, "continue an interrupted sweep from -checkpoint instead of restarting")
 	shardStr := fs.String("shard", "", "explore only shard I of M orbit representatives, as I/M (requires -sweep)")
-	procs := fs.Int("procs", 1, "spawn this many modelcheck worker processes, one sweep shard each, and merge their reports (requires -sweep)")
 	jsonOut := fs.Bool("json", false, "print the final sweep report as JSON (requires -sweep)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file")
@@ -125,8 +130,6 @@ func runContext(ctx context.Context, args []string, w, ew io.Writer) error {
 			return fmt.Errorf("-resume continues a checkpointed sweep: add -sweep")
 		case *shardStr != "":
 			return fmt.Errorf("-shard splits an assignment sweep: add -sweep")
-		case *procs > 1:
-			return fmt.Errorf("-procs shards an assignment sweep: add -sweep")
 		case *jsonOut:
 			return fmt.Errorf("-json renders a sweep report: add -sweep")
 		}
@@ -134,15 +137,12 @@ func runContext(ctx context.Context, args []string, w, ew io.Writer) error {
 	if *resume && *checkpoint == "" {
 		return fmt.Errorf("-resume needs the checkpoint file: add -checkpoint FILE")
 	}
-	if (*checkpoint != "" || *resume || *jsonOut || *procs > 1) && *worst {
-		return fmt.Errorf("-checkpoint/-resume/-json/-procs cover the exploration sweep only, not -worst")
+	if (*checkpoint != "" || *resume || *jsonOut) && *worst {
+		return fmt.Errorf("-checkpoint/-resume/-json cover the exploration sweep only, not -worst")
 	}
 	shardIndex, shardCount, err := parseShard(*shardStr)
 	if err != nil {
 		return err
-	}
-	if *procs > 1 && shardCount > 1 {
-		return fmt.Errorf("-procs spawns its own shards; drop -shard")
 	}
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
@@ -225,9 +225,6 @@ func runContext(ctx context.Context, args []string, w, ew io.Writer) error {
 	if *sweep {
 		if d.Sweep == nil {
 			return fmt.Errorf("-sweep needs a sweepable coloring surface (fast|five|six|dp1), not %q", *alg)
-		}
-		if *procs > 1 {
-			return coordinateShards(ctx, args, *procs, *checkpoint, w, ew)
 		}
 		cfg := sweepCfg{
 			checkpoint: *checkpoint,
@@ -374,7 +371,7 @@ func sweepAlg(w io.Writer, d *protocol.Descriptor, n int, mode sim.Mode, opt mod
 		return err
 	}
 	if cfg.jsonOut {
-		// The coordinator's wire format: nothing but the report object.
+		// Nothing but the report object, for MergeSweepReports.
 		enc := json.NewEncoder(w)
 		if err := enc.Encode(rep); err != nil {
 			return err

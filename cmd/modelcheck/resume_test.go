@@ -2,9 +2,9 @@ package main
 
 // CLI-level contracts of out-of-core resumable sweeps: an interrupted
 // checkpointed sweep resumed with -resume finishes bit-identical to an
-// uninterrupted run, a torn checkpoint falls back to the previous
-// generation, -procs shards match the serial sweep exactly, and -spill-dir
-// runs match in-RAM runs exactly.
+// uninterrupted run, at any -workers, a torn checkpoint falls back to the
+// previous generation, shards partition the sweep, and -spill-dir runs
+// match in-RAM runs exactly.
 
 import (
 	"context"
@@ -121,35 +121,64 @@ func TestRunResumeRefusesConfigDrift(t *testing.T) {
 	}
 }
 
-// -procs runs every shard through the (test-substituted, in-process)
-// worker spawner and the merged report matches the serial sweep exactly.
-func TestRunProcsShardedMatchesSerial(t *testing.T) {
-	old := spawnWorker
-	spawnWorker = func(ctx context.Context, args []string, stdout, stderr io.Writer) error {
-		return runContext(ctx, args, stdout, stderr)
+// -workers counts a sweep's orbit workers: every worker count prints the
+// serial sweep and -sweep -worst lines byte for byte.
+func TestRunSweepWorkersMatchSerial(t *testing.T) {
+	for _, args := range [][]string{
+		{"-alg", "six", "-n", "5", "-sweep", "-symmetry", "full"},
+		{"-alg", "five", "-n", "4", "-sweep", "-worst", "-symmetry", "assignments"},
+		{"-alg", "fast", "-n", "4", "-sweep", "-worst"},
+	} {
+		var serial strings.Builder
+		if err := run(append(args[:len(args):len(args)], "-workers", "1"), &serial, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []string{"3", "0"} {
+			var par strings.Builder
+			if err := run(append(args[:len(args):len(args)], "-workers", workers), &par, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			if par.String() != serial.String() {
+				t.Errorf("%v -workers %s drifted:\nserial\n%s\nparallel\n%s", args, workers, serial.String(), par.String())
+			}
+		}
 	}
-	defer func() { spawnWorker = old }()
+}
 
-	args := []string{"-alg", "six", "-n", "4", "-sweep", "-symmetry", "full"}
-	var serial, sharded strings.Builder
-	if err := run(args, &serial, io.Discard); err != nil {
+// A checkpoint is the serial sweep's whichever -workers wrote it: a sweep
+// interrupted at one worker count resumes at another to the uninterrupted
+// report.
+func TestRunCheckpointResumeAcrossWorkers(t *testing.T) {
+	args := []string{"-alg", "six", "-n", "5", "-sweep", "-symmetry", "full"}
+	var ref strings.Builder
+	if err := run(args, &ref, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(append(args[:len(args):len(args)], "-procs", "2"), &sharded, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	// Serial:  "graph=C4 mode=interleaved sweep n=4 ..."
-	// Sharded: "procs=2 sweep n=4 ..."
-	_, serialRep, ok := strings.Cut(firstLine(t, serial.String()), "sweep ")
-	if !ok {
-		t.Fatalf("no sweep report in serial output:\n%s", serial.String())
-	}
-	_, shardedRep, ok := strings.Cut(firstLine(t, sharded.String()), "sweep ")
-	if !ok {
-		t.Fatalf("no sweep report in sharded output:\n%s", sharded.String())
-	}
-	if serialRep != shardedRep {
-		t.Errorf("sharded sweep drifted:\nserial  %s\nsharded %s", serialRep, shardedRep)
+	for _, pair := range [][2]string{{"1", "3"}, {"3", "1"}} {
+		ck := t.TempDir() + "/sweep.ckpt"
+		ctx, cancel := context.WithCancel(context.Background())
+		var part strings.Builder
+		done := make(chan error, 1)
+		go func() {
+			done <- runContext(ctx, append(args[:len(args):len(args)], "-workers", pair[0], "-checkpoint", ck), &part, io.Discard)
+		}()
+		for i := 0; i < 2000; i++ {
+			if _, err := os.Stat(ck); err == nil {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+		if err := <-done; err != nil {
+			t.Fatalf("-workers %s: interrupted run should exit clean: %v\n%s", pair[0], err, part.String())
+		}
+		var res strings.Builder
+		if err := run(append(args[:len(args):len(args)], "-workers", pair[1], "-checkpoint", ck, "-resume"), &res, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := firstLine(t, res.String()), firstLine(t, ref.String()); got != want {
+			t.Errorf("written at -workers %s, resumed at %s:\nresumed       %s\nuninterrupted %s", pair[0], pair[1], got, want)
+		}
 	}
 }
 
@@ -192,12 +221,10 @@ func TestRunResumableFlagValidation(t *testing.T) {
 		{"-alg", "six", "-n", "4", "-checkpoint", "/tmp/x"},                     // requires -sweep
 		{"-alg", "six", "-n", "4", "-resume"},                                   // requires -sweep
 		{"-alg", "six", "-n", "4", "-shard", "0/2"},                             // requires -sweep
-		{"-alg", "six", "-n", "4", "-procs", "2"},                               // requires -sweep
 		{"-alg", "six", "-n", "4", "-json"},                                     // requires -sweep
 		{"-alg", "six", "-n", "4", "-sweep", "-resume"},                         // requires -checkpoint
 		{"-alg", "six", "-n", "4", "-sweep", "-shard", "2/2"},                   // index out of range
 		{"-alg", "six", "-n", "4", "-sweep", "-shard", "bogus"},                 // unparseable
-		{"-alg", "six", "-n", "4", "-sweep", "-procs", "2", "-shard", "0/2"},    // procs shards itself
 		{"-alg", "six", "-n", "4", "-sweep", "-worst", "-checkpoint", "/tmp/x"}, // worst not checkpointable
 	} {
 		if err := run(args, io.Discard, io.Discard); err == nil {

@@ -60,51 +60,63 @@ func ApplyPerm(xs, p []int) []int {
 // sweeps keep only assignments equal to their canonical form and weight
 // each by the orbit size, so reduced counts multiply back to the unreduced
 // totals exactly.
+//
+// The 2n maps are pairwise distinct for n ≥ 3, so by the orbit-stabilizer
+// theorem the orbit size is 2n divided by the number of maps that fix xs.
+// Each image is compared with the running minimum in place; the only
+// allocation is the returned copy.
 func CanonicalAssignment(xs []int) ([]int, int) {
 	n := len(xs)
 	best := append([]int(nil), xs...)
-	distinct := make(map[string]bool, 2*n)
-	buf := make([]int, n)
-	encode := func(v []int) string {
-		b := make([]byte, 0, 4*n)
-		for _, x := range v {
-			b = append(b, byte(x), byte(x>>8), byte(x>>16), byte(x>>24))
+	fixed := 0
+	for g := 0; g < 2*n; g++ {
+		if compareImage(xs, g, xs) == 0 {
+			fixed++
 		}
-		return string(b)
-	}
-	distinct[encode(xs)] = true
-	for _, p := range CycleAutomorphisms(n) {
-		for i := 0; i < n; i++ {
-			buf[i] = xs[p[i]]
-		}
-		distinct[encode(buf)] = true
-		if lessInts(buf, best) {
-			copy(best, buf)
+		if compareImage(xs, g, best) < 0 {
+			for i := range best {
+				best[i] = imageAt(xs, g, i)
+			}
 		}
 	}
-	return best, len(distinct)
+	return best, 2 * n / fixed
 }
 
 // IsCanonicalAssignment reports whether xs equals its own canonical form —
-// i.e. xs is the orbit representative an assignment sweep keeps.
+// i.e. xs is the orbit representative an assignment sweep keeps: no image
+// of xs under D_n is lexicographically smaller. It allocates nothing.
 func IsCanonicalAssignment(xs []int) bool {
-	canon, _ := CanonicalAssignment(xs)
-	for i := range xs {
-		if xs[i] != canon[i] {
+	for g := 0; g < 2*len(xs); g++ {
+		if compareImage(xs, g, xs) < 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// lessInts is lexicographic < on equal-length int slices.
-func lessInts(a, b []int) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
+// imageAt is position i of xs's image under element g of D_n, numbered as
+// CycleAutomorphisms numbers them: g < n is the rotation by g, g ≥ n the
+// reflection k = g-n.
+func imageAt(xs []int, g, i int) int {
+	n := len(xs)
+	if g < n {
+		return xs[(i+g)%n]
+	}
+	return xs[((g-n-i)%n+n)%n]
+}
+
+// compareImage compares xs's image under g with ref lexicographically,
+// returning -1, 0 or +1, without materializing the image.
+func compareImage(xs []int, g int, ref []int) int {
+	for i, r := range ref {
+		if v := imageAt(xs, g, i); v != r {
+			if v < r {
+				return -1
+			}
+			return 1
 		}
 	}
-	return false
+	return 0
 }
 
 // IsStandardCycle reports whether g is the standard cycle built by Cycle(n):

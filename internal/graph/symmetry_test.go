@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -110,6 +111,88 @@ func TestCanonicalAssignment(t *testing.T) {
 			t.Errorf("n=%d: %d representatives, want ≥ %d", n, reps, factorial/(2*n))
 		}
 	}
+}
+
+// canonicalAssignmentOracle is the map-based form CanonicalAssignment
+// replaced: materialize all 2n images, keep the least, and count the
+// distinct ones.
+func canonicalAssignmentOracle(xs []int) ([]int, int) {
+	n := len(xs)
+	best := append([]int(nil), xs...)
+	distinct := make(map[string]bool, 2*n)
+	buf := make([]int, n)
+	encode := func(v []int) string {
+		b := make([]byte, 0, 4*n)
+		for _, x := range v {
+			b = append(b, byte(x), byte(x>>8), byte(x>>16), byte(x>>24))
+		}
+		return string(b)
+	}
+	distinct[encode(xs)] = true
+	for _, p := range CycleAutomorphisms(n) {
+		for i := 0; i < n; i++ {
+			buf[i] = xs[p[i]]
+		}
+		distinct[encode(buf)] = true
+		if lessInts(buf, best) {
+			copy(best, buf)
+		}
+	}
+	return best, len(distinct)
+}
+
+// checkAgainstOracle compares CanonicalAssignment and
+// IsCanonicalAssignment with the oracle on one assignment.
+func checkAgainstOracle(t *testing.T, xs []int) {
+	t.Helper()
+	want, wantOrbit := canonicalAssignmentOracle(xs)
+	got, orbit := CanonicalAssignment(xs)
+	if !reflect.DeepEqual(got, want) || orbit != wantOrbit {
+		t.Fatalf("xs=%v: CanonicalAssignment = %v/%d, oracle %v/%d", xs, got, orbit, want, wantOrbit)
+	}
+	if is := IsCanonicalAssignment(xs); is != reflect.DeepEqual(xs, want) {
+		t.Fatalf("xs=%v: IsCanonicalAssignment = %t, oracle canonical form %v", xs, is, want)
+	}
+}
+
+// TestCanonicalAssignmentMatchesOracle: the in-place canonicalization
+// agrees with the map-based oracle on every permutation for n = 3…8 and on
+// random assignments with repeated values (nontrivial stabilizers).
+func TestCanonicalAssignmentMatchesOracle(t *testing.T) {
+	for n := 3; n <= 8; n++ {
+		Permutations(n, func(xs []int) bool {
+			checkAgainstOracle(t, xs)
+			return true
+		})
+	}
+	rng := rand.New(rand.NewSource(1))
+	for k := 0; k < 20000; k++ {
+		n := 3 + rng.Intn(6)
+		xs := make([]int, n)
+		for i := range xs {
+			xs[i] = rng.Intn(3)
+		}
+		checkAgainstOracle(t, xs)
+	}
+}
+
+// TestIsCanonicalAssignmentAllocFree pins the sweep's per-permutation
+// filter at zero allocations.
+func TestIsCanonicalAssignmentAllocFree(t *testing.T) {
+	xs := []int{3, 1, 4, 5, 2, 6}
+	if allocs := testing.AllocsPerRun(100, func() { IsCanonicalAssignment(xs) }); allocs != 0 {
+		t.Errorf("IsCanonicalAssignment allocates %.0f times per call", allocs)
+	}
+}
+
+// lessInts is lexicographic < on equal-length int slices.
+func lessInts(a, b []int) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return false
 }
 
 // TestPermutationsLexicographic: the enumeration yields exactly n! distinct

@@ -46,16 +46,25 @@ type Options struct {
 	SingletonsOnly bool
 	// MaxViolations caps recorded invariant-violation messages.
 	MaxViolations int
-	// Workers > 1 makes Explore shard the root's first-level activation
-	// subsets across that many workers, each running an independent DFS
-	// with a private visited set; the per-worker reports are merged by
-	// uniting their state-key sets, so States and Terminal match the serial
-	// counts exactly. Workers <= 1 (the default) keeps the serial DFS.
-	// In parallel mode MaxStates is one shared budget on the combined
-	// states explored across all workers (so a parallel run trips PARTIAL
-	// under the same budget a serial run would, instead of exploring up to
-	// Workers× the cap), and the order of recorded Violations may differ
-	// from the serial order.
+	// Workers counts parallel workers; <= 1 (the default) is serial.
+	//
+	// In a sweep (SweepExplore, SweepWorstActivations) Workers > 1
+	// explores that many orbit representatives at once, each on a
+	// worker's own serial explorer, and commits their reports in
+	// enumeration order: the SweepReport, every OnOrbitDone call and so
+	// every checkpoint are exactly the serial sweep's, and MaxStates
+	// bounds each orbit's own exploration. The registry's sweeps fill
+	// Workers <= 0 with every CPU.
+	//
+	// In a single check, Workers > 1 makes Explore shard the root's
+	// first-level activation subsets across that many workers, each
+	// running an independent DFS with a private visited set; the
+	// per-worker reports are merged by uniting their state-key sets, so
+	// States and Terminal match the serial counts exactly. MaxStates is
+	// then one shared budget on the combined states explored across all
+	// workers (so a parallel run trips PARTIAL under the same budget a
+	// serial run would, instead of exploring up to Workers× the cap), and
+	// the order of recorded Violations may differ from the serial order.
 	Workers int
 	// Symmetry selects reduction under the cycle's automorphism group (see
 	// symmetry.go): SymmetryOff (default) is byte-identical to the
@@ -89,12 +98,15 @@ type Options struct {
 	// SpillDir and membership is resolved against the on-disk runs (see
 	// internal/ooc). State identity is the full 128-bit fingerprint —
 	// exactly the in-RAM compact tables' identity — so States, Terminal,
-	// and WeightedStates are bit-identical to an in-RAM run. Ignored
-	// with Workers > 1 (the parallel merge keeps key sets in RAM, so
-	// spilling the visited probes would not reduce the footprint).
+	// and WeightedStates are bit-identical to an in-RAM run. A single
+	// check ignores it with Workers > 1 (the parallel merge keeps key sets
+	// in RAM, so spilling the visited probes would not reduce the
+	// footprint); a sweep's orbit workers each spill their own orbit.
 	SpillDir string
 	// SpillMemLimit bounds resident visited fingerprints before a spill;
-	// <= 0 selects ooc.DefaultMemLimit. Only meaningful with SpillDir.
+	// <= 0 selects ooc.DefaultMemLimit. Only meaningful with SpillDir. In
+	// a sweep it bounds each orbit worker's resident keys, so up to
+	// Workers × SpillMemLimit are resident at once.
 	SpillMemLimit int
 
 	// ShardIndex/ShardCount split an assignment sweep across processes:
@@ -114,8 +126,10 @@ type Options struct {
 	// OnOrbitDone, when non-nil, is called after each completed (never
 	// after a cancelled or timed-out) per-assignment exploration with the
 	// assignment, its orbit weight, the per-run report, and the cumulative
-	// sweep report so far — the checkpoint writer's hook. Returning an
-	// error aborts the sweep with that error.
+	// sweep report so far — the checkpoint writer's hook. Calls come in
+	// enumeration order and never concurrently, but with Workers > 1 from
+	// whichever worker goroutine commits the orbit. Returning an error
+	// aborts the sweep with that error.
 	OnOrbitDone func(assignment []int, weight int, run Report, cum SweepReport) error
 }
 

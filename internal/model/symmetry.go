@@ -34,6 +34,8 @@ import (
 	"fmt"
 
 	"asynccycle/internal/graph"
+	"asynccycle/internal/metrics"
+	"asynccycle/internal/par"
 	"asynccycle/internal/runctl"
 	"asynccycle/internal/sim"
 )
@@ -166,6 +168,12 @@ var ErrSymmetryTopology = fmt.Errorf("model: symmetry-reduced sweeps require the
 // weighted by exact orbit size; verdict-bearing fields (cycles, violations,
 // AllOk) cover all assignments either way, because every assignment is
 // isomorphic to its representative.
+//
+// opt.Workers > 1 explores that many representatives at once, each on a
+// worker's own serial explorer, and commits them in enumeration order (see
+// sweep), so the report and every OnOrbitDone call equal the serial
+// sweep's; mk and inv must then be safe for concurrent use. Workers <= 1
+// runs the serial loop.
 func SweepExplore[V any](n int, mk func(xs []int) (*sim.Engine[V], error), opt Options, inv Invariant[V]) (SweepReport, error) {
 	return sweep(n, mk, opt, inv, false)
 }
@@ -176,11 +184,33 @@ func SweepExplore[V any](n int, mk func(xs []int) (*sim.Engine[V], error), opt O
 // Because an orbit representative's vector is, position-wise, the relabeled
 // vector of every assignment in its orbit, the representative's vector is
 // folded under all 2n automorphisms — the reduced supremum equals the
-// unreduced one exactly (asserted by the differential tests).
+// unreduced one exactly (asserted by the differential tests). opt.Workers
+// counts orbit workers as in SweepExplore.
 func SweepWorstActivations[V any](n int, mk func(xs []int) (*sim.Engine[V], error), opt Options) (SweepReport, error) {
 	return sweep[V](n, mk, opt, nil, true)
 }
 
+// orbit is one representative a sweep explores: its assignment and orbit
+// weight, then the outcome a worker stores until the in-order commit
+// folds it.
+type orbit struct {
+	xs     []int
+	weight int
+	run    Report
+	vec    []int // worst mode: the representative's activation supremum
+	ok     bool  // worst mode: the analysis was conclusive
+	err    error // mk refused the assignment
+}
+
+// sweep enumerates the representatives up front, then runs them through
+// par.Run: each worker explores on its own serial explorer (its tables
+// reset, not reallocated, between orbits) and stores the outcome, and the
+// commits fold outcomes into the report and call OnOrbitDone strictly in
+// enumeration order. One worker is the serial loop. A commit stops the
+// sweep at the first orbit that ended non-deterministically (it is folded,
+// as the serial loop folds it, but passed to no OnOrbitDone), or when
+// OnOrbitDone or mk fails; deterministic stops (max-states, depth) fold and
+// the sweep goes on.
 func sweep[V any](n int, mk func(xs []int) (*sim.Engine[V], error), opt Options, inv Invariant[V], worstMode bool) (SweepReport, error) {
 	if n < 3 || n > maxSweepN {
 		return SweepReport{}, fmt.Errorf("model: sweep over C%d: need 3 ≤ n ≤ %d", n, maxSweepN)
@@ -210,7 +240,6 @@ func sweep[V any](n int, mk func(xs []int) (*sim.Engine[V], error), opt Options,
 	if shards > 1 && (opt.ShardIndex < 0 || opt.ShardIndex >= shards) {
 		return SweepReport{}, fmt.Errorf("model: sweep shard %d/%d: index out of range", opt.ShardIndex, shards)
 	}
-	ck := runctl.NewChecker(opt.Context, 0)
 	rep := SweepReport{N: n, Symmetry: opt.Symmetry, AllOk: true}
 	var cursor []int
 	if opt.SweepResume != nil {
@@ -229,25 +258,97 @@ func sweep[V any](n int, mk func(xs []int) (*sim.Engine[V], error), opt Options,
 		rep.WorstPerProc = make([]int, n)
 	}
 	reduce := opt.Symmetry != SymmetryOff
-	// A serial sweep runs every orbit through one explorer, whose tables,
-	// engine and undo records are reset between runs, not reallocated.
-	explore := func(e *sim.Engine[V]) Report { return Explore(e, opt, inv) }
-	if opt.Workers <= 1 {
-		x := newExplorer[V](opt)
-		x.inv = inv
-		explore = x.explore
+	orbits := sweepOrbits(n, reduce, shards, opt.ShardIndex, cursor)
+	workers := min(max(opt.Workers, 1), max(len(orbits), 1))
+	var ws *metrics.WorkerStats
+	if opt.Metrics != nil {
+		ws = opt.Metrics.SetWorkers(workers)
+	}
+	explorers := make([]*explorer[V], workers)
+	work := func(w, i int) {
+		o := &orbits[i]
+		e, err := mk(o.xs)
+		if err != nil {
+			o.err = err
+			return
+		}
+		if worstMode {
+			o.vec, o.ok, o.run = WorstActivations(e, opt)
+			return
+		}
+		if explorers[w] == nil {
+			explorers[w] = newExplorer[V](opt)
+			explorers[w].inv = inv
+		}
+		o.run = explorers[w].explore(e)
 	}
 	var loopErr error
-	repIdx := 0 // enumeration index over explored representatives (shard key)
-	graph.Permutations(n, func(xs []int) bool {
-		if reason, stop := ck.CheckNow(); stop {
-			rep.Partial = true
-			rep.AllOk = false
-			if rep.StopReason == runctl.StopNone {
-				rep.StopReason = reason
-			}
+	commit := func(i int) bool {
+		o := &orbits[i]
+		if o.err != nil {
+			loopErr = fmt.Errorf("model: sweep assignment %v: %w", o.xs, o.err)
 			return false
 		}
+		// Take the outcome out of the list: once folded, only the orbits
+		// in flight keep a report (its certificates, its witness) alive.
+		run, vec := o.run, o.vec
+		o.run, o.vec = Report{}, nil
+		rep.Runs++
+		rep.Assignments += o.weight
+		foldRun(&rep, run, o.weight)
+		if worstMode {
+			if !o.ok {
+				rep.AllOk = false
+			}
+			foldWorst(rep.WorstPerProc, vec, reduce)
+		} else if !run.Ok() {
+			rep.AllOk = false
+		}
+		if !deterministicStop(run.StopReason) {
+			// A cancelled/timed-out (or I/O-failed) run's counts depend on
+			// wall-clock, so it reaches no checkpoint, and nothing after it
+			// is folded: a resumed sweep re-explores it from scratch,
+			// keeping the final report bit-identical to an uninterrupted one.
+			return false
+		}
+		if opt.OnOrbitDone != nil {
+			if err := opt.OnOrbitDone(o.xs, o.weight, run, rep); err != nil {
+				loopErr = fmt.Errorf("model: sweep orbit callback at %v: %w", o.xs, err)
+				return false
+			}
+		}
+		return true
+	}
+	done := par.Run(opt.Context, workers, len(orbits), ws, work, commit)
+	if loopErr != nil {
+		return SweepReport{}, loopErr
+	}
+	if done < len(orbits) {
+		// Stopped early: by a non-deterministic orbit (already folded
+		// PARTIAL) or by the context before every orbit was claimed.
+		rep.Partial = true
+		rep.AllOk = false
+		if rep.StopReason == runctl.StopNone {
+			rep.StopReason = runctl.Reason(opt.Context)
+		}
+	}
+	rep.MaxWorst = 0
+	for _, w := range rep.WorstPerProc {
+		if w > rep.MaxWorst {
+			rep.MaxWorst = w
+		}
+	}
+	return rep, nil
+}
+
+// sweepOrbits lists, in enumeration order, the representatives a sweep
+// explores: every assignment (unreduced) or every canonical one with its
+// orbit weight, restricted to this shard and to the assignments after the
+// resume cursor.
+func sweepOrbits(n int, reduce bool, shards, shard int, cursor []int) []orbit {
+	var out []orbit
+	repIdx := 0 // enumeration index over representatives (shard key)
+	graph.Permutations(n, func(xs []int) bool {
 		weight := 1
 		if reduce {
 			if !graph.IsCanonicalAssignment(xs) {
@@ -260,60 +361,16 @@ func sweep[V any](n int, mk func(xs []int) (*sim.Engine[V], error), opt Options,
 		// depends on where a previous run was interrupted.
 		idx := repIdx
 		repIdx++
-		if shards > 1 && idx%shards != opt.ShardIndex {
+		if shards > 1 && idx%shards != shard {
 			return true // another shard's representative
 		}
 		if cursor != nil && lexLE(xs, cursor) {
 			return true // completed before the interruption; already in rep
 		}
-		e, err := mk(append([]int(nil), xs...))
-		if err != nil {
-			loopErr = fmt.Errorf("model: sweep assignment %v: %w", xs, err)
-			return false
-		}
-		rep.Runs++
-		rep.Assignments += weight
-		var r Report
-		if worstMode {
-			var vec []int
-			var ok bool
-			vec, ok, r = WorstActivations(e, opt)
-			foldRun(&rep, r, weight)
-			if !ok {
-				rep.AllOk = false
-			}
-			foldWorst(rep.WorstPerProc, vec, reduce)
-		} else {
-			r = explore(e)
-			foldRun(&rep, r, weight)
-			if !r.Ok() {
-				rep.AllOk = false
-			}
-		}
-		if opt.OnOrbitDone != nil && deterministicStop(r.StopReason) {
-			// Only deterministic completions reach the checkpoint hook: a
-			// cancelled/timed-out (or I/O-failed) run's counts depend on
-			// wall-clock, so folding them into a checkpoint would poison the
-			// resumed totals. Such a run stays out of the checkpoint and is
-			// re-explored from scratch on resume, keeping the final report
-			// bit-identical to an uninterrupted sweep.
-			if err := opt.OnOrbitDone(append([]int(nil), xs...), weight, r, rep); err != nil {
-				loopErr = fmt.Errorf("model: sweep orbit callback at %v: %w", xs, err)
-				return false
-			}
-		}
+		out = append(out, orbit{xs: append([]int(nil), xs...), weight: weight})
 		return true
 	})
-	if loopErr != nil {
-		return SweepReport{}, loopErr
-	}
-	rep.MaxWorst = 0
-	for _, w := range rep.WorstPerProc {
-		if w > rep.MaxWorst {
-			rep.MaxWorst = w
-		}
-	}
-	return rep, nil
+	return out
 }
 
 // identityAssignment returns the first assignment the sweep would

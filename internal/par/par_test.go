@@ -3,8 +3,11 @@ package par
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"asynccycle/internal/metrics"
 )
@@ -165,5 +168,156 @@ func TestMapCtxRecordsWorkerStats(t *testing.T) {
 	}
 	if total != int64(len(items)) {
 		t.Fatalf("worker stats recorded %d items, want %d", total, len(items))
+	}
+}
+
+// TestRunCommitsInOrder: under random work delays, commits arrive in
+// strictly increasing index order, never overlap, and each follows its
+// own work call. Run it under -race: commit reads what work wrote without
+// a lock of its own.
+func TestRunCommitsInOrder(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
+		const n = 200
+		delays := make([]time.Duration, n)
+		rng := rand.New(rand.NewSource(int64(workers)))
+		for i := range delays {
+			delays[i] = time.Duration(rng.Intn(200)) * time.Microsecond
+		}
+		vals := make([]int, n)
+		var got []int
+		var inCommit atomic.Bool
+		committed := Run(context.Background(), workers, n, nil, func(_, i int) {
+			time.Sleep(delays[i])
+			vals[i] = i * i
+		}, func(i int) bool {
+			if !inCommit.CompareAndSwap(false, true) {
+				t.Errorf("workers=%d: commit %d overlaps another commit", workers, i)
+			}
+			if vals[i] != i*i {
+				t.Errorf("workers=%d: commit %d before its work finished", workers, i)
+			}
+			got = append(got, i)
+			inCommit.Store(false)
+			return true
+		})
+		if committed != n || len(got) != n {
+			t.Fatalf("workers=%d: committed %d (%d calls), want %d", workers, committed, len(got), n)
+		}
+		for i, g := range got {
+			if g != i {
+				t.Fatalf("workers=%d: commit #%d was index %d", workers, i, g)
+			}
+		}
+	}
+}
+
+// TestRunCommitStops: a commit returning false ends the pool — nothing
+// after it is committed, and claims stop long before the items run out.
+func TestRunCommitStops(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		const n, stopAt = 10000, 10
+		var ran atomic.Int64
+		var last int
+		committed := Run(nil, workers, n, nil, func(_, i int) {
+			ran.Add(1)
+			time.Sleep(20 * time.Microsecond)
+		}, func(i int) bool {
+			last = i
+			return i != stopAt
+		})
+		if committed != stopAt+1 || last != stopAt {
+			t.Fatalf("workers=%d: committed %d, last commit %d; want %d and %d", workers, committed, last, stopAt+1, stopAt)
+		}
+		if r := ran.Load(); r >= n {
+			t.Errorf("workers=%d: all %d items ran although a commit stopped the pool at %d", workers, r, stopAt)
+		}
+	}
+}
+
+// TestRunCancelStopsClaims: a cancelled context stops claims; everything
+// claimed still finishes and is committed as a prefix.
+func TestRunCancelStopsClaims(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		const n = 1000
+		var ran atomic.Int64
+		var commits int
+		committed := Run(ctx, workers, n, nil, func(_, i int) {
+			if ran.Add(1) == 10 {
+				cancel()
+			}
+		}, func(i int) bool {
+			if i != commits {
+				t.Errorf("workers=%d: commit %d out of order (want %d)", workers, i, commits)
+			}
+			commits++
+			return true
+		})
+		cancel()
+		if committed != commits || int64(committed) != ran.Load() {
+			t.Errorf("workers=%d: committed %d, commit calls %d, ran %d", workers, committed, commits, ran.Load())
+		}
+		if committed == 0 || committed == n {
+			t.Errorf("workers=%d: committed %d of %d, want a strict prefix", workers, committed, n)
+		}
+	}
+}
+
+// TestRunPanicAfterDrain: a panic in work is re-raised in the caller, but
+// only once every worker has returned.
+func TestRunPanicAfterDrain(t *testing.T) {
+	var inFlight atomic.Int64
+	defer func() {
+		if r := recover(); r != "boom" {
+			t.Fatalf("recovered %v, want boom", r)
+		}
+		if n := inFlight.Load(); n != 0 {
+			t.Fatalf("%d work calls still running when the panic surfaced", n)
+		}
+	}()
+	Run(nil, 4, 100, nil, func(_, i int) {
+		inFlight.Add(1)
+		defer inFlight.Add(-1)
+		if i == 7 {
+			panic("boom")
+		}
+		time.Sleep(time.Millisecond)
+	}, func(int) bool { return true })
+}
+
+// TestRunOneWorkerInline: one worker (or one item) calls work on the
+// caller's goroutine and starts none.
+func TestRunOneWorkerInline(t *testing.T) {
+	for _, tc := range []struct{ workers, n int }{{1, 5}, {8, 1}} {
+		before := runtime.NumGoroutine()
+		w0 := true
+		Run(nil, tc.workers, tc.n, nil, func(w, _ int) {
+			if w != 0 {
+				w0 = false
+			}
+			// Only growth counts: a worker left by an earlier test may
+			// still be exiting, which lowers the count.
+			if g := runtime.NumGoroutine(); g > before {
+				t.Errorf("workers=%d n=%d: %d goroutines inside work, %d before Run", tc.workers, tc.n, g, before)
+			}
+		}, nil)
+		if !w0 {
+			t.Errorf("workers=%d n=%d: inline work ran as a worker other than 0", tc.workers, tc.n)
+		}
+	}
+}
+
+// TestRunRecordsWorkerBusyTime: every work call is charged to the worker
+// that ran it.
+func TestRunRecordsWorkerBusyTime(t *testing.T) {
+	r := metrics.NewRun()
+	ws := r.SetWorkers(3)
+	Run(nil, 3, 30, ws, func(_, _ int) { time.Sleep(100 * time.Microsecond) }, nil)
+	var items int64
+	for _, n := range r.Snapshot().WorkerItems {
+		items += n
+	}
+	if items != 30 {
+		t.Fatalf("worker stats charged %d items, want 30", items)
 	}
 }

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"fmt"
+	"runtime"
 
 	"asynccycle/internal/conc"
 	"asynccycle/internal/graph"
@@ -161,15 +162,24 @@ func deriveEngine[V any](d *Descriptor, s EngineSpec[V]) {
 				return e, err
 			}
 		}
+		// A registry sweep explores its orbit representatives on every CPU
+		// unless the caller sets Workers: mk builds a fresh engine per call,
+		// and the invariant is Contract.Safety over each engine's own View.
+		allCPUs := func(opt model.Options) model.Options {
+			if opt.Workers <= 0 {
+				opt.Workers = runtime.GOMAXPROCS(0)
+			}
+			return opt
+		}
 		d.Sweep = func(n int, mode sim.Mode, opt model.Options) (model.SweepReport, error) {
 			g, err := d.Topology(n)
 			if err != nil {
 				return model.SweepReport{}, err
 			}
-			return model.SweepExplore(n, mkN(mode), opt, invariant(g))
+			return model.SweepExplore(n, mkN(mode), allCPUs(opt), invariant(g))
 		}
 		d.SweepWorst = func(n int, mode sim.Mode, opt model.Options) (model.SweepReport, error) {
-			return model.SweepWorstActivations(n, mkN(mode), opt)
+			return model.SweepWorstActivations(n, mkN(mode), allCPUs(opt))
 		}
 	}
 }

@@ -145,8 +145,12 @@ type Descriptor struct {
 	// Worst computes exact per-process worst-case round counts.
 	Worst func(xs []int, mode sim.Mode, opt model.Options) ([]int, bool, model.Report, error)
 	// Sweep explores all identifier assignments of size n up to symmetry.
+	// The engine-derived sweeps explore opt.Workers orbit representatives
+	// at once, every CPU when opt.Workers <= 0, and report exactly what
+	// the serial sweep reports.
 	Sweep func(n int, mode sim.Mode, opt model.Options) (model.SweepReport, error)
-	// SweepWorst computes worst-case rounds over all assignments.
+	// SweepWorst computes worst-case rounds over all assignments, with
+	// Sweep's worker default.
 	SweepWorst func(n int, mode sim.Mode, opt model.Options) (model.SweepReport, error)
 	// BigKernel builds the protocol's struct-of-arrays kernel for the
 	// high-throughput large-cycle engine (internal/bigsim). Nil means the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -89,8 +90,11 @@ type JobSpec struct {
 	// Engine selects the execution engine: "sim" (default) or "big" (the
 	// struct-of-arrays large-cycle engine; requires the "big" capability).
 	Engine string `json:"engine,omitempty"`
-	// Workers: engine "big" runs the sharded parallel executor when > 1;
-	// for check jobs it is the frontier-parallel worker count.
+	// Workers: engine "big" runs the sharded parallel executor when > 1.
+	// A sweep check explores that many orbit representatives at once; a
+	// single check splits its frontier across that many workers when > 1.
+	// A check job is serial when it is unset and never uses more workers
+	// than the server has CPUs.
 	Workers int `json:"workers,omitempty"`
 	// Trace records the execution trace (sim engine only, n ≤ 4096);
 	// fetch it from /jobs/{id}/trace.
@@ -366,6 +370,11 @@ func (s *Server) validate(spec *JobSpec) (*protocol.Descriptor, sim.Mode, error)
 		if spec.N > maxCheckN {
 			return nil, 0, fmt.Errorf("exhaustive checking capped at n ≤ %d (asked for %d)", maxCheckN, spec.N)
 		}
+		// The job pool is the server's unit of parallelism, so a check
+		// runs serially unless the client asks for workers. Every orbit
+		// worker of a sweep holds its own tables, so capping workers at
+		// the CPU count also bounds the job's memory.
+		spec.Workers = min(max(spec.Workers, 1), runtime.GOMAXPROCS(0))
 		if spec.Sweep {
 			if d.Sweep == nil {
 				return nil, 0, fmt.Errorf("algorithm %q has no sweep surface", d.Name)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -249,6 +250,40 @@ func TestCheckJobSweep(t *testing.T) {
 	}
 	if !chk.Sweep || chk.States == 0 {
 		t.Fatalf("sweep result: %+v", chk)
+	}
+}
+
+// A check job is serial unless it asks for workers and never runs more
+// workers than the server has CPUs: a huge "workers" on a sweep is capped,
+// not turned into one explorer (and one set of tables) per orbit.
+func TestCheckJobSweepWorkersCapped(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	_, ts := newTestServer(t, serve.Options{Workers: 1})
+	var want string
+	for _, tc := range []struct {
+		spec    string
+		workers int
+	}{
+		{`{"kind":"check","alg":"six","n":4,"sweep":true}`, 1},
+		{`{"kind":"check","alg":"six","n":4,"sweep":true,"workers":100000}`, 2},
+	} {
+		_, v := post(t, ts, tc.spec)
+		done := waitJob(t, ts, v.ID)
+		if done.Outcome != serve.OutcomeOK || done.Metrics == nil {
+			t.Fatalf("%s: %+v", tc.spec, done)
+		}
+		if got := len(done.Metrics.WorkerItems); got != tc.workers {
+			t.Errorf("%s: ran %d orbit workers, want %d", tc.spec, got, tc.workers)
+		}
+		var chk serve.CheckResult
+		if err := json.Unmarshal(getResult(t, ts, v.ID)["result"], &chk); err != nil {
+			t.Fatal(err)
+		}
+		if want == "" {
+			want = chk.Summary
+		} else if chk.Summary != want {
+			t.Errorf("%s: summary %q, serial %q", tc.spec, chk.Summary, want)
+		}
 	}
 }
 
