@@ -17,6 +17,7 @@ import (
 
 	"asynccycle"
 	"asynccycle/internal/bigsim"
+	"asynccycle/internal/check"
 	"asynccycle/internal/conc"
 	"asynccycle/internal/core"
 	"asynccycle/internal/cv"
@@ -266,24 +267,72 @@ func BenchmarkCanonicalFingerprint(b *testing.B) {
 }
 
 // BenchmarkSweepC5 measures one exhaustive identifier sweep of Algorithm 2
-// on C5 — every assignment, singleton schedules, SymmetryFull — through
-// the registry, as sweep-c5 in perfbench and modelcheck -sweep run it:
-// workers=1 is the serial loop, default the registry's one orbit worker
-// per CPU.
+// on C5 — every assignment, singleton schedules — through the registry, as
+// sweep-c5 in perfbench and modelcheck -sweep run it: workers=1 is the
+// serial loop, default the registry's one orbit worker per CPU, both at
+// SymmetryFull; symmetry=off,workers=1 explores all 120 assignments
+// unreduced, the baseline of E18's timing table. The weighted counts are
+// the same in every row.
 func BenchmarkSweepC5(b *testing.B) {
 	d, err := protocol.Lookup("five")
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"workers=1", 1}, {"default", 0}} {
+		name     string
+		symmetry model.Symmetry
+		workers  int
+	}{
+		{"workers=1", model.SymmetryFull, 1},
+		{"default", model.SymmetryFull, 0},
+		{"symmetry=off,workers=1", model.SymmetryOff, 1},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
-			opt := model.Options{SingletonsOnly: true, Symmetry: model.SymmetryFull, Workers: bc.workers}
+			opt := model.Options{SingletonsOnly: true, Symmetry: bc.symmetry, Workers: bc.workers}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				rep, err := d.Sweep(5, sim.ModeInterleaved, opt)
+				if err != nil || !rep.AllOk || rep.States != 321860 || rep.Terminal != 17650 {
+					b.Fatalf("sweep: %v states=%d terminal=%d allok=%t", err, rep.States, rep.Terminal, rep.AllOk)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkContractOverhead pins the cost of the pluggable contract layer:
+// the same serial C5 sweep of Algorithm 2 (SymmetryAssignments) with the
+// per-state invariant calling five's property checks directly and routed
+// through the descriptor's Contract.Safety. Both read the no-copy
+// Engine.View, as the registry invariant does; the two rows should be
+// within noise.
+func BenchmarkContractOverhead(b *testing.B) {
+	d, err := protocol.Lookup("five")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := graph.MustCycle(5)
+	mk := func(xs []int) (*sim.Engine[core.FiveVal], error) {
+		return sim.NewEngine(g, core.NewFiveNodes(xs))
+	}
+	for _, bc := range []struct {
+		name string
+		inv  model.Invariant[core.FiveVal]
+	}{
+		{"direct", func(e *sim.Engine[core.FiveVal]) error {
+			r := e.View()
+			if err := check.ProperColoring(g, r); err != nil {
+				return err
+			}
+			return check.PaletteRange(r, 5)
+		}},
+		{"contract", func(e *sim.Engine[core.FiveVal]) error { return d.Contract.Safety(g, e.View()) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			opt := model.Options{SingletonsOnly: true, Symmetry: model.SymmetryAssignments, Workers: 1}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rep, err := model.SweepExplore(5, mk, opt, bc.inv)
 				if err != nil || !rep.AllOk || rep.States != 321860 || rep.Terminal != 17650 {
 					b.Fatalf("sweep: %v states=%d terminal=%d allok=%t", err, rep.States, rep.Terminal, rep.AllOk)
 				}

@@ -1,9 +1,8 @@
-// Package atomicio provides crash-safe report writing for the tools that
-// persist JSON baselines (BENCH_core.json, BENCH_serve.json, metrics
-// snapshots): write the whole payload to a temporary file in the target's
-// directory, sync it, then rename it over the destination. An interrupted
-// or crashed writer leaves either the old complete file or the new
-// complete file — never a truncated one.
+// Package atomicio provides crash-safe file writing for the model
+// checker's sweep checkpoints (internal/ooc): write the whole payload to a
+// temporary file in the target's directory, sync it, then rename it over
+// the destination. An interrupted or crashed writer leaves either the old
+// complete file or the new complete file — never a truncated one.
 package atomicio
 
 import (

@@ -62,12 +62,23 @@ type RunOptions struct {
 // CrashPlan is the deterministic adversarial crash plan the CLIs, the job
 // server and the experiments share: ⌊frac·n⌋ picks, the i-th crashing
 // process (7919·i + seed) mod n after i mod 5 of its own rounds (0 = never
-// wakes); a later pick of the same process overrides an earlier one.
+// wakes); a later pick of the same process overrides an earlier one. The
+// residue is the non-negative one for every seed, negative or near the
+// int64 limits, and each pick is one addition mod n from the last, so no
+// intermediate overflows.
 func CrashPlan(frac float64, n int, seed int64) map[int]int {
 	crashes := map[int]int{}
 	count := int(frac * float64(n))
+	if count <= 0 {
+		return crashes
+	}
+	pick, step := int(seed%int64(n)), 7919%n
+	if pick < 0 {
+		pick += n
+	}
 	for i := 0; i < count; i++ {
-		crashes[(i*7919+int(seed))%n] = i % 5
+		crashes[pick] = i % 5
+		pick = (pick + step) % n
 	}
 	return crashes
 }
@@ -154,8 +165,8 @@ type Descriptor struct {
 	SweepWorst func(n int, mode sim.Mode, opt model.Options) (model.SweepReport, error)
 	// BigKernel builds the protocol's struct-of-arrays kernel for the
 	// high-throughput large-cycle engine (internal/bigsim). Nil means the
-	// protocol has no big-run surface; cmd/colorcycle and cmd/bench gate
-	// their large-n paths on it.
+	// protocol has no big-run surface; cmd/colorcycle, colorserved and
+	// the big-engine benchmarks gate their large-n paths on it.
 	BigKernel func(xs []int) (bigsim.Kernel, error)
 
 	// Modes lists the activation semantics the protocol supports; empty

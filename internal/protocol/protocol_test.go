@@ -1,6 +1,9 @@
 package protocol
 
 import (
+	"math"
+	"math/big"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -228,5 +231,34 @@ func TestDecoupledRunHonorsActivationBudget(t *testing.T) {
 	if reason != runctl.StopActivations || total != 3 {
 		t.Fatalf("reason=%q after %d activations (%d terminated), want %q after exactly 3",
 			reason, total, res.TerminatedCount(), runctl.StopActivations)
+	}
+}
+
+// TestCrashPlanResidues: every pick is the non-negative residue of
+// 7919·i + seed mod n, also for negative seeds and seeds at the int64
+// limits, and a plan whose old formula did not overflow is unchanged.
+func TestCrashPlanResidues(t *testing.T) {
+	for _, n := range []int{3, 8, 1000, 7919} {
+		for _, seed := range []int64{0, 1, -3, math.MaxInt64, math.MinInt64} {
+			count := n / 2
+			want, old := map[int]int{}, map[int]int{}
+			for i := 0; i < count; i++ {
+				r := new(big.Int).Add(big.NewInt(int64(7919*i)), big.NewInt(seed))
+				want[int(r.Mod(r, big.NewInt(int64(n))).Int64())] = i % 5
+				old[(i*7919+int(seed))%n] = i % 5
+			}
+			got := CrashPlan(0.5, n, seed)
+			for p := range got {
+				if p < 0 || p >= n {
+					t.Errorf("n=%d seed=%d: pick %d outside [0, %d)", n, seed, p, n)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("n=%d seed=%d: plan %v, want %v", n, seed, got, want)
+			}
+			if seed >= 0 && seed <= math.MaxInt64-int64(7919*count) && !reflect.DeepEqual(got, old) {
+				t.Errorf("n=%d seed=%d: plan %v differs from the old formula's %v", n, seed, got, old)
+			}
+		}
 	}
 }

@@ -249,9 +249,10 @@ func (j *job) view(withMetrics bool) View {
 	return v
 }
 
+// finish records the job's outcome; the worker marks the job done once the
+// server's counters include it.
 func (j *job) finish(outcome string, reason runctl.StopReason, result any, err error) {
 	j.mu.Lock()
-	j.status = StatusDone
 	j.outcome = outcome
 	j.stopReason = reason
 	j.result = result
@@ -260,7 +261,6 @@ func (j *job) finish(outcome string, reason runctl.StopReason, result any, err e
 	}
 	j.finished = time.Now()
 	j.mu.Unlock()
-	close(j.done)
 }
 
 // validate resolves the spec against the registry and normalizes

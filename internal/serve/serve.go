@@ -183,6 +183,12 @@ func (s *Server) runJob(j *job) {
 		s.stats.faild++
 	}
 	s.stats.Unlock()
+	// Done only now, so a client that sees the job done reads /stats
+	// that count it.
+	j.mu.Lock()
+	j.status = StatusDone
+	j.mu.Unlock()
+	close(j.done)
 }
 
 // Submit validates and enqueues a job spec. It returns the job on

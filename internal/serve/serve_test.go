@@ -150,6 +150,29 @@ func TestRunJobSim(t *testing.T) {
 	}
 }
 
+// TestRunJobCrashNegativeSeed: the crash plan picks in-range processes for
+// every seed, so a run job with a negative or extreme seed and crashes
+// ends ok instead of failing on an out-of-range crash index.
+func TestRunJobCrashNegativeSeed(t *testing.T) {
+	_, ts := newTestServer(t, serve.Options{Workers: 2})
+	for _, seed := range []string{"-3", "9223372036854775807"} {
+		resp, v := post(t, ts, `{"kind":"run","alg":"six","n":8,"sched":"rr","crash":0.5,"seed":`+seed+`}`)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("seed %s: submit status %d", seed, resp.StatusCode)
+		}
+		if done := waitJob(t, ts, v.ID); done.Outcome != serve.OutcomeOK {
+			t.Fatalf("seed %s: %+v", seed, done)
+		}
+		var run serve.RunResult
+		if err := json.Unmarshal(getResult(t, ts, v.ID)["result"], &run); err != nil {
+			t.Fatal(err)
+		}
+		if run.Crashed == 0 || run.Terminated+run.Crashed < run.N {
+			t.Fatalf("seed %s: run result %+v", seed, run)
+		}
+	}
+}
+
 func TestRunJobBigEngine(t *testing.T) {
 	_, ts := newTestServer(t, serve.Options{Workers: 2})
 	resp, v := post(t, ts, `{"kind":"run","alg":"fast","n":20000,"engine":"big","sched":"rr","crash":0.01}`)
@@ -564,37 +587,57 @@ func TestDrainIdempotent(t *testing.T) {
 	wg.Wait()
 }
 
+// mixedSpecs is the burst mix of TestConcurrentMixedSubmissions, one job
+// template per engine and kind; %d takes the seed.
+var mixedSpecs = []string{
+	`{"kind":"run","alg":"six","n":32,"sched":"random","seed":%d}`,
+	`{"kind":"run","alg":"five","n":24,"sched":"rr","seed":%d}`,
+	`{"kind":"run","alg":"six","n":48,"sched":"burst","seed":%d}`,
+	`{"kind":"run","alg":"fast","n":4000,"engine":"big","seed":%d}`,
+	`{"kind":"run","alg":"fast","n":20000,"engine":"big","workers":2,"seed":%d}`,
+	`{"kind":"check","alg":"fast","n":3,"seed":%d}`,
+	`{"kind":"fuzz","alg":"fast","campaign":4,"seed":%d}`,
+}
+
+// TestConcurrentMixedSubmissions floods a small pool with a mixed burst
+// (sim and big runs, a sharded run, check and fuzz jobs) from concurrent
+// clients. How many submissions shed depends on goroutine interleaving
+// (TestQueueOverflowSheds429 pins shedding itself), so the test pins the
+// accounting instead: every client 429 is counted in Stats().Shed, every
+// 202 in Stats().Accepted, and every accepted job finishes ok or PARTIAL
+// and is counted by the time its view reads done.
 func TestConcurrentMixedSubmissions(t *testing.T) {
-	s, ts := newTestServer(t, serve.Options{Workers: 4, QueueDepth: 256})
-	specs := []string{
-		`{"kind":"run","alg":"six","n":32,"sched":"random","seed":%d}`,
-		`{"kind":"run","alg":"five","n":24,"sched":"rr","seed":%d}`,
-		`{"kind":"run","alg":"fast","n":4000,"engine":"big","seed":%d}`,
-		`{"kind":"check","alg":"fast","n":3,"seed":%d}`,
-		`{"kind":"fuzz","alg":"fast","campaign":4,"seed":%d}`,
-	}
+	s, ts := newTestServer(t, serve.Options{Workers: 2, QueueDepth: 4})
 	const perSpec = 8
 	var wg sync.WaitGroup
-	idCh := make(chan string, len(specs)*perSpec)
-	for i, tpl := range specs {
+	var mu sync.Mutex
+	var ids []string
+	shed := 0
+	for i, tpl := range mixedSpecs {
 		for k := 0; k < perSpec; k++ {
 			wg.Add(1)
-			go func(tpl string, seed int) {
+			go func(spec string) {
 				defer wg.Done()
-				resp, v := post(t, ts, fmt.Sprintf(tpl, seed))
-				if resp.StatusCode == http.StatusAccepted {
-					idCh <- v.ID
-				} else if resp.StatusCode != http.StatusTooManyRequests {
+				resp, v := post(t, ts, spec)
+				mu.Lock()
+				defer mu.Unlock()
+				switch resp.StatusCode {
+				case http.StatusAccepted:
+					ids = append(ids, v.ID)
+				case http.StatusTooManyRequests:
+					shed++
+				default:
 					t.Errorf("status %d", resp.StatusCode)
 				}
-			}(tpl, i*perSpec+k)
+			}(fmt.Sprintf(tpl, i*perSpec+k))
 		}
 	}
 	wg.Wait()
-	close(idCh)
-	accepted := 0
-	for id := range idCh {
-		accepted++
+	t.Logf("accepted=%d shed=%d", len(ids), shed)
+	if len(ids) == 0 {
+		t.Fatal("nothing accepted")
+	}
+	for _, id := range ids {
 		v := waitJob(t, ts, id)
 		if v.Status != serve.StatusDone {
 			t.Fatalf("job %s: %+v", id, v)
@@ -603,11 +646,9 @@ func TestConcurrentMixedSubmissions(t *testing.T) {
 			t.Fatalf("job %s failed: %s", id, v.Error)
 		}
 	}
-	if accepted == 0 {
-		t.Fatal("nothing accepted")
-	}
 	st := s.Stats()
-	if st.Completed+st.Partial != int64(accepted) {
-		t.Fatalf("stats: %+v for %d accepted", st, accepted)
+	if st.Shed != int64(shed) || st.Accepted != int64(len(ids)) ||
+		st.Completed+st.Partial != int64(len(ids)) || st.Failed != 0 {
+		t.Fatalf("stats %+v for %d accepted and %d shed by the client", st, len(ids), shed)
 	}
 }
