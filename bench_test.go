@@ -209,22 +209,6 @@ func BenchmarkModelCheckC4(b *testing.B) {
 	}
 }
 
-// BenchmarkModelCheckC4Workers measures the parallel first-level frontier
-// on the same instance (identical States/Terminal counts as the serial
-// exploration; workers duplicate shared substates by design).
-func BenchmarkModelCheckC4Workers(b *testing.B) {
-	g := graph.MustCycle(4)
-	xs := ids.MustGenerate(ids.Increasing, 4, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e, _ := sim.NewEngine(g, core.NewFiveNodes(xs))
-		rep := model.Explore(e, model.Options{SingletonsOnly: true, Workers: 4}, nil)
-		if !rep.Ok() {
-			b.Fatal("verification failed")
-		}
-	}
-}
-
 // BenchmarkFingerprintString and BenchmarkFingerprintHash compare the two
 // configuration-identity encodings on a warmed n=1024 Algorithm 3 engine.
 func BenchmarkFingerprintString(b *testing.B) {

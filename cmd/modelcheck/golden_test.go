@@ -9,9 +9,11 @@ import (
 
 // TestGoldenDifferential pins modelcheck output across the prior flag
 // matrix — single-instance checks, -worst analyses, simultaneous mode,
-// sweeps with and without symmetry reduction, and parallel workers — for
-// every algorithm the command accepted before the protocol registry. The
-// registry migration must keep these bytes identical.
+// and sweeps with and without symmetry reduction — for every algorithm
+// the command accepted before the protocol registry. The registry
+// migration must keep these bytes identical. The -workers 2 cases pin
+// that a single check is serial at any -workers: their goldens hold the
+// serial report line.
 func TestGoldenDifferential(t *testing.T) {
 	var cases [][]string
 	for _, alg := range []string{"six", "five", "fast"} {

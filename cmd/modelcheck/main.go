@@ -31,11 +31,10 @@
 // their descriptor's depth horizon and report PARTIAL — the verdict then
 // covers every schedule of at most that many ticks.
 //
-// -workers N sets the parallel workers. A -sweep explores N orbit
+// -workers N sets a -sweep's orbit workers: the sweep explores N orbit
 // representatives at once and commits them in enumeration order, so its
 // report and checkpoints equal the serial sweep's; the default 0 uses
-// every CPU. A single check splits the root's frontier across N workers
-// when N > 1 and is serial otherwise.
+// every CPU. A single check is serial at any -workers.
 //
 // Out-of-core and resumable sweeps (see DESIGN.md §13): -spill-dir makes
 // each exploration's visited set disk-backed once it outgrows -mem-limit
@@ -101,10 +100,10 @@ func runContext(ctx context.Context, args []string, w, ew io.Writer) error {
 	modeStr := fs.String("mode", "interleaved", "activation semantics: interleaved|simultaneous")
 	worst := fs.Bool("worst", false, "also compute exact worst-case per-process rounds")
 	symmetryStr := fs.String("symmetry", "off", "symmetry reduction: off|assignments|full (assignments requires -sweep)")
-	sweep := fs.Bool("sweep", false, "check every identifier-rank assignment, not just the increasing one (fast|five|six|dp1)")
+	sweep := fs.Bool("sweep", false, "check every identifier-rank assignment, not just the increasing one (protocols with the sweep capability, see -list)")
 	depth := fs.Int("depth", 0, "schedule-depth bound (0 = protocol default); deeper states are reported PARTIAL")
 	maxStates := fs.Int("max-states", 5_000_000, "state budget; a tripped budget yields a PARTIAL report")
-	workers := fs.Int("workers", 0, "parallel workers: a -sweep's orbit workers (0 = all CPUs); a single check splits its frontier when > 1")
+	workers := fs.Int("workers", 0, "a -sweep's orbit workers (0 = all CPUs); a single check is serial")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget (0 = none); a tripped budget yields a PARTIAL report, exit 0")
 	progress := fs.Duration("progress", 0, "print a progress line to stderr every interval (0 = off)")
 	metricsJSON := fs.String("metrics-json", "", "write the final metrics snapshot as JSON to this file (\"-\" = stderr)")
@@ -137,8 +136,10 @@ func runContext(ctx context.Context, args []string, w, ew io.Writer) error {
 	if *resume && *checkpoint == "" {
 		return fmt.Errorf("-resume needs the checkpoint file: add -checkpoint FILE")
 	}
-	if (*checkpoint != "" || *resume || *jsonOut) && *worst {
-		return fmt.Errorf("-checkpoint/-resume/-json cover the exploration sweep only, not -worst")
+	if (*checkpoint != "" || *resume || *jsonOut || *shardStr != "") && *worst {
+		// A shard's worst-case vector is a supremum over its own orbits
+		// only, and no report carries it to a merge.
+		return fmt.Errorf("-checkpoint/-resume/-json/-shard cover the exploration sweep only, not -worst")
 	}
 	shardIndex, shardCount, err := parseShard(*shardStr)
 	if err != nil {
@@ -224,7 +225,7 @@ func runContext(ctx context.Context, args []string, w, ew io.Writer) error {
 
 	if *sweep {
 		if d.Sweep == nil {
-			return fmt.Errorf("-sweep needs a sweepable coloring surface (fast|five|six|dp1), not %q", *alg)
+			return fmt.Errorf("-sweep needs a protocol with the sweep capability (see -list), not %q", *alg)
 		}
 		cfg := sweepCfg{
 			checkpoint: *checkpoint,

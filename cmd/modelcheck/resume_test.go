@@ -217,6 +217,7 @@ func TestRunSpillMatchesInRAM(t *testing.T) {
 }
 
 func TestRunResumableFlagValidation(t *testing.T) {
+	ck := t.TempDir() + "/ssuni.ckpt"
 	for _, args := range [][]string{
 		{"-alg", "six", "-n", "4", "-checkpoint", "/tmp/x"},                     // requires -sweep
 		{"-alg", "six", "-n", "4", "-resume"},                                   // requires -sweep
@@ -226,6 +227,9 @@ func TestRunResumableFlagValidation(t *testing.T) {
 		{"-alg", "six", "-n", "4", "-sweep", "-shard", "2/2"},                   // index out of range
 		{"-alg", "six", "-n", "4", "-sweep", "-shard", "bogus"},                 // unparseable
 		{"-alg", "six", "-n", "4", "-sweep", "-worst", "-checkpoint", "/tmp/x"}, // worst not checkpointable
+		{"-alg", "six", "-n", "4", "-sweep", "-worst", "-shard", "1/2"},         // a shard's worst vector is not the sweep's
+		{"-alg", "ssuni", "-n", "4", "-sweep", "-shard", "1/2"},                 // ssuni's sweep has no shards
+		{"-alg", "ssuni", "-n", "4", "-sweep", "-checkpoint", ck},               // nor checkpoints
 	} {
 		if err := run(args, io.Discard, io.Discard); err == nil {
 			t.Errorf("args %v: expected error", args)

@@ -133,19 +133,17 @@ func TestCrashScheduleEquivalence(t *testing.T) {
 
 	opt := Options{SingletonsOnly: true}
 	x := newExplorer[core.FiveVal](opt)
-	x.collectKeys = true
-	x.keys = make(map[ooc.Key]int)
-	x.terminalKeys = make(map[ooc.Key]struct{})
+	keys := recordKeys(x, nil)
 	x.dfs(mkRoot(), 0)
 	if x.report.Truncated {
 		t.Fatalf("exploration truncated, equivalence vacuous: %v", x.report)
 	}
-	if ref := RefExplore(mkRoot(), false, DefaultMaxDepth); len(x.keys) != ref.States {
-		t.Fatalf("checker visited %d configurations, exact string reference %d", len(x.keys), ref.States)
+	if ref := RefExplore(mkRoot(), false, DefaultMaxDepth); len(keys) != ref.States {
+		t.Fatalf("checker visited %d configurations, exact string reference %d", len(keys), ref.States)
 	}
 	visited := func(e *sim.Engine[core.FiveVal]) bool {
 		h1, h2 := e.FingerprintHash128()
-		_, ok := x.keys[ooc.Key{H1: h1, H2: h2}]
+		_, ok := keys[ooc.Key{H1: h1, H2: h2}]
 		return ok
 	}
 

@@ -1,12 +1,12 @@
 package model_test
 
 // Differential tests of the compact 128-bit hash checker against the exact
-// string-keyed reference walks (reference_test.go), and of the two
-// exploration strategies (serial DFS vs the parallel first-level
-// frontier): all must agree on the exhaustive facts — state counts,
-// terminal counts, cycle existence — on real algorithm instances.
+// string-keyed reference walks (reference_test.go): both must agree on the
+// exhaustive facts — state counts, terminal counts, cycle existence — on
+// real algorithm instances.
 
 import (
+	"reflect"
 	"testing"
 
 	"asynccycle/internal/core"
@@ -41,83 +41,21 @@ func TestExploreHashVsStringEquivalence(t *testing.T) {
 	}
 }
 
-func TestExploreWorkersEquivalence(t *testing.T) {
-	// DeepestPath is deliberately not compared: workers have private
-	// visited sets, so a worker may walk a state via a longer path that the
-	// serial DFS had already cut off.
-	for _, n := range []int{3, 4, 5} {
-		serial := model.Explore(fiveEngine(t, n), model.Options{SingletonsOnly: true}, nil)
-		par := model.Explore(fiveEngine(t, n), model.Options{SingletonsOnly: true, Workers: 4}, nil)
-		if serial.States != par.States || serial.Terminal != par.Terminal ||
-			serial.CycleFound != par.CycleFound || serial.Truncated != par.Truncated {
-			t.Errorf("C%d: serial %v vs workers=4 %v", n, serial, par)
+// TestExploreIgnoresWorkers pins that a single check is the serial DFS at
+// any Workers: the report, budget trip included, is the serial one. The
+// budget is twice the serial state count plus one, so a run that explored
+// a state more than once against the budget would stop early.
+func TestExploreIgnoresWorkers(t *testing.T) {
+	opt := model.Options{MaxStates: 6989}
+	serial := model.Explore(fiveEngine(t, 5), opt, nil)
+	if !serial.Ok() || 2*serial.States+1 != opt.MaxStates {
+		t.Fatalf("serial five on C5: %v; want a complete run of 3494 states", serial)
+	}
+	for _, workers := range []int{2, 4} {
+		opt.Workers = workers
+		if got := model.Explore(fiveEngine(t, 5), opt, nil); !reflect.DeepEqual(got, serial) {
+			t.Errorf("Workers=%d:\ngot  %+v\nwant %+v", workers, got, serial)
 		}
-	}
-}
-
-func TestExploreWorkersViolationDedup(t *testing.T) {
-	// Every terminal state violates; the parallel merge must count each
-	// violating state once even though several workers reach it.
-	inv := func(e *sim.Engine[core.FiveVal]) error {
-		if e.AllDone() {
-			return errAllDone
-		}
-		return nil
-	}
-	opt := model.Options{SingletonsOnly: true, MaxViolations: 1 << 20}
-	serial := model.Explore(fiveEngine(t, 4), opt, inv)
-	opt.Workers = 4
-	par := model.Explore(fiveEngine(t, 4), opt, inv)
-	if len(serial.Violations) != serial.Terminal {
-		t.Fatalf("serial: %d violations for %d terminal states", len(serial.Violations), serial.Terminal)
-	}
-	if len(par.Violations) != len(serial.Violations) {
-		t.Errorf("workers=4 recorded %d violations, serial %d", len(par.Violations), len(serial.Violations))
-	}
-	if par.ViolationWitness == nil {
-		t.Error("parallel merge dropped the violation witness")
-	}
-}
-
-var errAllDone = errTerminal{}
-
-type errTerminal struct{}
-
-func (errTerminal) Error() string { return "terminal state reached" }
-
-func TestExploreWorkersFindCycle(t *testing.T) {
-	// Greedy MIS livelocks on C3; the parallel frontier must find a cycle
-	// too, and its certificate must replay to an actual loop.
-	mk := func() *sim.Engine[mis.Val] {
-		e, err := sim.NewEngine(graph.MustCycle(3), mis.NewGreedyNodes([]int{0, 1, 2}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	serial := model.Explore(mk(), model.Options{SingletonsOnly: true}, nil)
-	par := model.Explore(mk(), model.Options{SingletonsOnly: true, Workers: 4}, nil)
-	if !serial.CycleFound || !par.CycleFound {
-		t.Fatalf("cycle: serial %t, workers=4 %t", serial.CycleFound, par.CycleFound)
-	}
-	if serial.States != par.States {
-		t.Errorf("states: serial %d, workers=4 %d", serial.States, par.States)
-	}
-	// Replay the parallel certificate: prefix reaches a configuration from
-	// which the loop returns to itself.
-	e := mk()
-	for _, s := range par.CyclePrefix {
-		e.Step(s)
-	}
-	before := e.Fingerprint()
-	if len(par.CycleLoop) == 0 {
-		t.Fatal("empty cycle loop")
-	}
-	for _, s := range par.CycleLoop {
-		e.Step(s)
-	}
-	if e.Fingerprint() != before {
-		t.Error("cycle certificate does not replay to a loop")
 	}
 }
 

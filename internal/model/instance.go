@@ -20,8 +20,7 @@ type InstanceInvariant func(inst sim.Instance) error
 // Differences from the typed explorer, by design:
 //   - state identity uses the full string Fingerprint (exact, no hash
 //     lanes, so HashCollisions is always 0);
-//   - no symmetry reduction and no parallel frontier (Options.Workers and
-//     Options.Symmetry are ignored);
+//   - no symmetry reduction (Options.Symmetry is ignored);
 //   - clone recycling is up to the instance's CloneInto.
 //
 // For models whose configuration includes a monotone global clock (the

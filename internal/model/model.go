@@ -22,7 +22,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"sync/atomic"
 
 	"asynccycle/internal/metrics"
 	"asynccycle/internal/ooc"
@@ -46,25 +45,15 @@ type Options struct {
 	SingletonsOnly bool
 	// MaxViolations caps recorded invariant-violation messages.
 	MaxViolations int
-	// Workers counts parallel workers; <= 1 (the default) is serial.
-	//
-	// In a sweep (SweepExplore, SweepWorstActivations) Workers > 1
+	// Workers counts a sweep's orbit workers; <= 1 (the default) is
+	// serial. In a sweep (SweepExplore, SweepWorstActivations) Workers > 1
 	// explores that many orbit representatives at once, each on a
 	// worker's own serial explorer, and commits their reports in
 	// enumeration order: the SweepReport, every OnOrbitDone call and so
 	// every checkpoint are exactly the serial sweep's, and MaxStates
 	// bounds each orbit's own exploration. The registry's sweeps fill
-	// Workers <= 0 with every CPU.
-	//
-	// In a single check, Workers > 1 makes Explore shard the root's
-	// first-level activation subsets across that many workers, each
-	// running an independent DFS with a private visited set; the
-	// per-worker reports are merged by uniting their state-key sets, so
-	// States and Terminal match the serial counts exactly. MaxStates is
-	// then one shared budget on the combined states explored across all
-	// workers (so a parallel run trips PARTIAL under the same budget a
-	// serial run would, instead of exploring up to Workers× the cap), and
-	// the order of recorded Violations may differ from the serial order.
+	// Workers <= 0 with every CPU. A single check (Explore,
+	// WorstActivations) is serial at any Workers.
 	Workers int
 	// Symmetry selects reduction under the cycle's automorphism group (see
 	// symmetry.go): SymmetryOff (default) is byte-identical to the
@@ -85,11 +74,9 @@ type Options struct {
 	// MaxStates/MaxDepth when smaller (the smaller positive bound wins).
 	Budget runctl.Budget
 	// Metrics, when non-nil, receives live progress: States/Terminal
-	// counters, FrontierDepth and VisitedSize gauges, HashCollisions. With
-	// Workers > 1 every worker publishes into the same sink (counters sum
-	// across workers; VisitedSize is the merged figure — total live
-	// entries across all worker tables plus the shared root — not a
-	// single worker's private table size).
+	// counters, FrontierDepth and VisitedSize gauges, HashCollisions. A
+	// sweep's orbit workers publish into the same sink: counters sum over
+	// orbits, and VisitedSize is the largest single orbit's table.
 	Metrics *metrics.Run
 
 	// SpillDir, when non-empty, makes Explore's visited set out-of-core:
@@ -98,10 +85,8 @@ type Options struct {
 	// SpillDir and membership is resolved against the on-disk runs (see
 	// internal/ooc). State identity is the full 128-bit fingerprint —
 	// exactly the in-RAM compact tables' identity — so States, Terminal,
-	// and WeightedStates are bit-identical to an in-RAM run. A single
-	// check ignores it with Workers > 1 (the parallel merge keeps key sets
-	// in RAM, so spilling the visited probes would not reduce the
-	// footprint); a sweep's orbit workers each spill their own orbit.
+	// and WeightedStates are bit-identical to an in-RAM run. A sweep's
+	// orbit workers each spill their own orbit.
 	SpillDir string
 	// SpillMemLimit bounds resident visited fingerprints before a spill;
 	// <= 0 selects ooc.DefaultMemLimit. Only meaningful with SpillDir. In
@@ -166,8 +151,9 @@ func (o Options) withDefaults() Options {
 }
 
 // withTimeout folds Budget.Timeout into Options.Context so every layer
-// (serial DFS, parallel workers, longest-path analysis) watches a single
-// shared deadline. The returned cancel must be called to release the timer.
+// (the DFS, a sweep's orbit workers, the longest-path analysis) watches a
+// single shared deadline. The returned cancel must be called to release
+// the timer.
 func (o Options) withTimeout() (Options, context.CancelFunc) {
 	if o.Budget.Timeout <= 0 {
 		return o, func() {}
@@ -304,24 +290,6 @@ type explorer[V any] struct {
 	// in RAM: it is bounded by the path depth, not the state space.
 	spill    *ooc.Set
 	spillDir string
-
-	// sharedStates, when non-nil, is the run-wide explored-state counter
-	// the parallel frontier shares across workers so MaxStates is one
-	// budget for the whole run (serial exploration leaves it nil and
-	// budgets its own report.States). sharedVisited likewise accumulates
-	// total visited-table entries across workers for the VisitedSize
-	// gauge — the merged figure, not a per-worker table size.
-	sharedStates  *atomic.Int64
-	sharedVisited *atomic.Int64
-
-	// Key collection, enabled only by the parallel frontier so worker
-	// reports can be merged by set union (see parallel.go). The mapped
-	// value is the state's exact rotation-orbit size (always 1 when canon
-	// is off), so the merged WeightedStates stays exact under unions.
-	collectKeys  bool
-	keys         map[ooc.Key]int
-	terminalKeys map[ooc.Key]struct{}
-	vioKeys      []ooc.Key // state key of each recorded violation, aligned with report.Violations
 }
 
 func newExplorer[V any](opt Options) *explorer[V] {
@@ -347,14 +315,9 @@ func (x *explorer[V]) keyOrbit(e *sim.Engine[V]) (ooc.Key, int) {
 }
 
 // visitedSize is the figure the VisitedSize gauge publishes for the state
-// just inserted: the run-wide total across all workers when the parallel
-// frontier shares a counter, the spilled set's cardinality when out of
-// core, this explorer's own table size otherwise. Called once per visited
-// insertion.
+// just inserted: the spilled set's cardinality when out of core, the
+// in-RAM table size otherwise. Called once per visited insertion.
 func (x *explorer[V]) visitedSize() int64 {
-	if x.sharedVisited != nil {
-		return x.sharedVisited.Add(1)
-	}
 	if x.spill != nil {
 		return x.spill.Len()
 	}
@@ -382,9 +345,6 @@ func Explore[V any](root *sim.Engine[V], opt Options, inv Invariant[V]) Report {
 	opt = opt.withDefaults()
 	opt, cancel := opt.withTimeout()
 	defer cancel()
-	if opt.Workers > 1 {
-		return exploreParallel(root, opt, inv)
-	}
 	x := newExplorer[V](opt)
 	x.inv = inv
 	return x.explore(root)
@@ -487,18 +447,8 @@ func (x *explorer[V]) dfs(e *sim.Engine[V], depth int) {
 		return
 	}
 	x.report.States++
-	// budgetStates is the count the MaxStates budget below trips on: the
-	// run-wide total when workers share one budget, this explorer's own
-	// count otherwise.
-	budgetStates := x.report.States
-	if x.sharedStates != nil {
-		budgetStates = int(x.sharedStates.Add(1))
-	}
 	if x.canon {
 		x.report.WeightedStates += int64(orbit)
-	}
-	if x.collectKeys {
-		x.keys[k] = orbit
 	}
 	if x.met != nil {
 		x.met.States.Inc()
@@ -512,9 +462,6 @@ func (x *explorer[V]) dfs(e *sim.Engine[V], depth int) {
 			}
 			if len(x.report.Violations) < x.opt.MaxViolations {
 				x.report.Violations = append(x.report.Violations, err.Error())
-				if x.collectKeys {
-					x.vioKeys = append(x.vioKeys, k)
-				}
 			}
 		}
 	}
@@ -522,9 +469,6 @@ func (x *explorer[V]) dfs(e *sim.Engine[V], depth int) {
 		x.report.Terminal++
 		if x.met != nil {
 			x.met.Terminal.Inc()
-		}
-		if x.collectKeys {
-			x.terminalKeys[k] = struct{}{}
 		}
 		return
 	}
@@ -535,7 +479,7 @@ func (x *explorer[V]) dfs(e *sim.Engine[V], depth int) {
 		x.report.noteStop(runctl.StopMaxDepth)
 		return
 	}
-	if budgetStates >= x.opt.MaxStates {
+	if x.report.States >= x.opt.MaxStates {
 		x.report.Truncated = true
 		x.report.noteStop(runctl.StopMaxStates)
 		return

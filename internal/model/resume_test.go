@@ -5,9 +5,6 @@ package model_test
 //   - A spilled visited set (Options.SpillDir) keys states by the same
 //     128-bit fingerprint as the in-RAM compact tables, so every count is
 //     bit-identical to an in-RAM run.
-//   - MaxStates is one shared budget across parallel workers: a Workers=4
-//     run trips at the same global state count a Workers=1 run does.
-//   - The VisitedSize gauge publishes the merged figure across workers.
 //   - A sweep resumed from any completed-orbit checkpoint finishes with a
 //     report bit-identical to the uninterrupted sweep's.
 //   - Sharded sweeps partition the orbit representatives and merge exactly.
@@ -17,7 +14,6 @@ import (
 	"reflect"
 	"testing"
 
-	"asynccycle/internal/metrics"
 	"asynccycle/internal/model"
 	"asynccycle/internal/runctl"
 	"asynccycle/internal/sim"
@@ -65,61 +61,6 @@ func TestSpillDirFailureRefusesRun(t *testing.T) {
 	}
 	if rep.States != 0 {
 		t.Fatalf("refused run still explored %d states", rep.States)
-	}
-}
-
-// Regression for the per-worker budget bug: MaxStates used to bound each
-// parallel worker separately, letting a Workers=4 run explore up to 4× the
-// cap before tripping. The budget is now one shared atomic counter, so the
-// combined explored count (the metrics States sum across workers) trips at
-// the same point the serial run does.
-func TestSharedMaxStatesBudget(t *testing.T) {
-	const budget = 1500
-	mk := func(workers int) (model.Report, *metrics.Run) {
-		met := metrics.NewRun()
-		rep := model.Explore(fiveEngine(t, 5), model.Options{
-			SingletonsOnly: true,
-			MaxStates:      budget,
-			Workers:        workers,
-			Metrics:        met,
-		}, nil)
-		return rep, met
-	}
-	serial, _ := mk(1)
-	par, met := mk(4)
-
-	if !serial.Truncated || serial.StopReason != runctl.StopMaxStates {
-		t.Fatalf("serial run did not trip MaxStates: %v", serial)
-	}
-	if !par.Truncated || par.StopReason != runctl.StopMaxStates {
-		t.Fatalf("parallel run did not trip MaxStates: %v", par)
-	}
-	// Identical trip behavior: the combined count stays near the budget
-	// (bounded overshoot from in-flight frames draining), nowhere near
-	// workers × budget as the per-worker budgets allowed.
-	if got := met.States.Load(); got >= 2*budget {
-		t.Errorf("parallel run explored %d combined states under a budget of %d", got, budget)
-	}
-	// The merged distinct-state count cannot exceed what was explored
-	// (+1 for the root, which the parallel path counts in the report only).
-	if int64(par.States) > met.States.Load()+1 {
-		t.Errorf("merged States %d exceeds combined explored count %d", par.States, met.States.Load())
-	}
-}
-
-// Regression for the VisitedSize gauge: with Workers > 1 it used to
-// publish the largest single worker's private table size. It now counts
-// every insertion across workers plus the shared root, so it can never sit
-// below the merged distinct-state count.
-func TestParallelVisitedSizeMerged(t *testing.T) {
-	met := metrics.NewRun()
-	rep := model.Explore(fiveEngine(t, 4), model.Options{
-		SingletonsOnly: true,
-		Workers:        4,
-		Metrics:        met,
-	}, nil)
-	if got := met.VisitedSize.Load(); got < int64(rep.States) {
-		t.Errorf("VisitedSize gauge %d below merged distinct-state count %d", got, rep.States)
 	}
 }
 

@@ -1,7 +1,7 @@
 package model
 
-// Internal tests for run control: they reach into the explorer's key
-// collection to prove that a budgeted or cancelled exploration visits a
+// Internal tests for run control: they record the explorer's state keys
+// to prove that a budgeted or cancelled exploration visits a
 // prefix-consistent subset of the full run's states — partial results are
 // genuine sub-explorations, never garbage.
 
@@ -31,15 +31,29 @@ func c5Pair(t *testing.T) *sim.Engine[core.PairVal] {
 	return e
 }
 
-// exploreKeys runs the serial DFS with key collection on, returning the
-// report and the exact set of visited state keys.
-func exploreKeys(root *sim.Engine[core.PairVal], opt Options) (Report, map[ooc.Key]int) {
+// recordKeys makes x's invariant record the key of every state it is
+// called on — the DFS calls it once per newly visited state — and then run
+// inv (which may be nil). It returns the set the keys go into.
+func recordKeys[V any](x *explorer[V], inv Invariant[V]) map[ooc.Key]struct{} {
+	keys := make(map[ooc.Key]struct{})
+	x.inv = func(e *sim.Engine[V]) error {
+		k, _ := x.keyOrbit(e)
+		keys[k] = struct{}{}
+		if inv != nil {
+			return inv(e)
+		}
+		return nil
+	}
+	return keys
+}
+
+// exploreKeys runs the serial DFS, returning the report and the exact set
+// of visited state keys.
+func exploreKeys(root *sim.Engine[core.PairVal], opt Options) (Report, map[ooc.Key]struct{}) {
 	x := newExplorer[core.PairVal](opt)
-	x.collectKeys = true
-	x.keys = make(map[ooc.Key]int)
-	x.terminalKeys = make(map[ooc.Key]struct{})
+	keys := recordKeys(x, nil)
 	x.dfs(root, 0)
-	return x.report, x.keys
+	return x.report, keys
 }
 
 func TestCancelledExploreIsPrefixConsistent(t *testing.T) {
@@ -61,15 +75,12 @@ func TestCancelledExploreIsPrefixConsistent(t *testing.T) {
 	popt := opt
 	popt.Context = ctx
 	x := newExplorer[core.PairVal](popt)
-	x.collectKeys = true
-	x.keys = make(map[ooc.Key]int)
-	x.terminalKeys = make(map[ooc.Key]struct{})
-	x.inv = func(e *sim.Engine[core.PairVal]) error {
+	keys := recordKeys(x, func(e *sim.Engine[core.PairVal]) error {
 		if x.report.States == cut {
 			cancel()
 		}
 		return nil
-	}
+	})
 	x.dfs(c5Pair(t), 0)
 	partial := x.report
 
@@ -85,10 +96,10 @@ func TestCancelledExploreIsPrefixConsistent(t *testing.T) {
 	if partial.States >= full.States || partial.States < cut {
 		t.Fatalf("partial states = %d, want in [%d, %d)", partial.States, cut, full.States)
 	}
-	if partial.States != len(x.keys) {
-		t.Fatalf("States=%d but %d keys collected", partial.States, len(x.keys))
+	if partial.States != len(keys) {
+		t.Fatalf("States=%d but %d keys collected", partial.States, len(keys))
 	}
-	for k := range x.keys {
+	for k := range keys {
 		if _, ok := fullKeys[k]; !ok {
 			t.Fatalf("partial run visited a state the full run never reached")
 		}
@@ -116,32 +127,6 @@ func TestExploreBudgetTimeout(t *testing.T) {
 	rep := Explore(c5Pair(t), opt, nil)
 	if !rep.Partial || rep.StopReason != runctl.StopTimeout {
 		t.Fatalf("want partial timeout report, got %s", rep)
-	}
-}
-
-func TestExploreParallelCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	opt := Options{SingletonsOnly: true, Workers: 4, Context: ctx}
-	rep := Explore(c5Pair(t), opt, nil)
-	if !rep.Partial || rep.StopReason != runctl.StopCancelled {
-		t.Fatalf("want partial cancelled report, got %s", rep)
-	}
-	// The root is handled before the fan-out, so it is always counted.
-	if rep.States < 1 {
-		t.Fatalf("states = %d, want ≥ 1", rep.States)
-	}
-}
-
-func TestExploreParallelTimeoutSubsetOfSerial(t *testing.T) {
-	full := Explore(c5Pair(t), Options{}, nil)
-	opt := Options{Workers: 4, Budget: runctl.Budget{Timeout: 2 * time.Millisecond}}
-	rep := Explore(c5Pair(t), opt, nil)
-	if !rep.Partial || rep.StopReason != runctl.StopTimeout {
-		t.Fatalf("want partial timeout report, got %s", rep)
-	}
-	if rep.States > full.States {
-		t.Fatalf("partial parallel run counted %d states, full run has %d", rep.States, full.States)
 	}
 }
 

@@ -236,20 +236,6 @@ func TestSymmetryFullProgressEquivalence(t *testing.T) {
 	}
 }
 
-func TestSymmetryParallelEquivalence(t *testing.T) {
-	for _, n := range []int{4, 5} {
-		opt := model.Options{SingletonsOnly: true, Symmetry: model.SymmetryFull}
-		serial := model.Explore(fiveEngine(t, n), opt, nil)
-		opt.Workers = 4
-		par := model.Explore(fiveEngine(t, n), opt, nil)
-		if serial.States != par.States || serial.Terminal != par.Terminal ||
-			serial.WeightedStates != par.WeightedStates ||
-			serial.CycleFound != par.CycleFound || serial.Symmetry != par.Symmetry {
-			t.Errorf("C%d: serial %v vs workers=4 %v", n, serial, par)
-		}
-	}
-}
-
 func TestSymmetryHashVsStringCanonical(t *testing.T) {
 	opt := model.Options{SingletonsOnly: true, Symmetry: model.SymmetryFull}
 	hashRep := model.Explore(fiveEngine(t, 4), opt, nil)

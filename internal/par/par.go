@@ -1,6 +1,6 @@
 // Package par provides a bounded worker pool with deterministic result
-// merging, the execution layer under the experiment sweeps, the model
-// checker's parallel frontier and its orbit sweeps.
+// merging, the execution layer under the experiment sweeps, the schedule
+// fuzzer's campaigns and the model checker's orbit sweeps.
 //
 // The contract is the one SPIN-style explicit-state checkers and
 // deterministic-replay harnesses rely on: work items are independent, each

@@ -149,10 +149,21 @@ func registerSSUni() {
 		},
 
 		// Sweep certifies stabilization from ALL 3^n initial states — the
-		// stabilizing analogue of the identifier-assignment sweep.
+		// stabilizing analogue of the identifier-assignment sweep. It is one
+		// serial loop over every start with no sharding, checkpoints or
+		// resume, so it refuses those options rather than sweep everything
+		// and drop them.
 		Sweep: func(n int, mode sim.Mode, opt model.Options) (model.SweepReport, error) {
 			if n < 3 {
 				return model.SweepReport{}, fmt.Errorf("cycle needs n ≥ 3, got %d", n)
+			}
+			switch {
+			case opt.ShardCount > 1:
+				return model.SweepReport{}, errors.New("ssuni sweep: sharding (ShardCount > 1) is not supported")
+			case opt.OnOrbitDone != nil:
+				return model.SweepReport{}, errors.New("ssuni sweep: checkpoints (OnOrbitDone) are not supported")
+			case opt.SweepResume != nil:
+				return model.SweepReport{}, errors.New("ssuni sweep: resuming (SweepResume) is not supported")
 			}
 			ck := runctl.NewChecker(opt.Context, opt.Budget.Timeout)
 			rep := model.SweepReport{N: n, AllOk: true}

@@ -158,7 +158,9 @@ type Descriptor struct {
 	// Sweep explores all identifier assignments of size n up to symmetry.
 	// The engine-derived sweeps explore opt.Workers orbit representatives
 	// at once, every CPU when opt.Workers <= 0, and report exactly what
-	// the serial sweep reports.
+	// the serial sweep reports. A sweep that cannot honour
+	// opt.ShardCount, OnOrbitDone or SweepResume refuses them with an
+	// error instead of ignoring them.
 	Sweep func(n int, mode sim.Mode, opt model.Options) (model.SweepReport, error)
 	// SweepWorst computes worst-case rounds over all assignments, with
 	// Sweep's worker default.

@@ -91,10 +91,9 @@ type JobSpec struct {
 	// struct-of-arrays large-cycle engine; requires the "big" capability).
 	Engine string `json:"engine,omitempty"`
 	// Workers: engine "big" runs the sharded parallel executor when > 1.
-	// A sweep check explores that many orbit representatives at once; a
-	// single check splits its frontier across that many workers when > 1.
-	// A check job is serial when it is unset and never uses more workers
-	// than the server has CPUs.
+	// A sweep check explores that many orbit representatives at once; it
+	// is serial when Workers is unset and never uses more workers than the
+	// server has CPUs. A single check is serial at any Workers.
 	Workers int `json:"workers,omitempty"`
 	// Trace records the execution trace (sim engine only, n ≤ 4096);
 	// fetch it from /jobs/{id}/trace.
@@ -370,10 +369,10 @@ func (s *Server) validate(spec *JobSpec) (*protocol.Descriptor, sim.Mode, error)
 		if spec.N > maxCheckN {
 			return nil, 0, fmt.Errorf("exhaustive checking capped at n ≤ %d (asked for %d)", maxCheckN, spec.N)
 		}
-		// The job pool is the server's unit of parallelism, so a check
+		// The job pool is the server's unit of parallelism, so a sweep
 		// runs serially unless the client asks for workers. Every orbit
-		// worker of a sweep holds its own tables, so capping workers at
-		// the CPU count also bounds the job's memory.
+		// worker holds its own tables, so capping workers at the CPU
+		// count also bounds the job's memory.
 		spec.Workers = min(max(spec.Workers, 1), runtime.GOMAXPROCS(0))
 		if spec.Sweep {
 			if d.Sweep == nil {
