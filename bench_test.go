@@ -10,7 +10,6 @@
 package asynccycle_test
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -228,25 +227,6 @@ func BenchmarkFingerprintHash(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = e.FingerprintHash128()
-	}
-}
-
-// BenchmarkCanonicalFingerprint measures the model checker's state key
-// under SymmetryFull on warm Algorithm 3 engines on C5 and C7: the least
-// rotation of the cached node digests and its fold (a checker child also
-// re-digests the one node its step touched).
-func BenchmarkCanonicalFingerprint(b *testing.B) {
-	for _, n := range []int{5, 7} {
-		b.Run(fmt.Sprintf("C%d", n), func(b *testing.B) {
-			e, _ := sim.NewEngine(graph.MustCycle(n), core.NewFastNodes(ids.MustGenerate(ids.Random, n, 1)))
-			e.Step([]int{0, 2})
-			e.CanonicalFingerprintHash128()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, _, _, _ = e.CanonicalFingerprintHash128()
-			}
-		})
 	}
 }
 

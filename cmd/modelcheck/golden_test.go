@@ -22,7 +22,6 @@ func TestGoldenDifferential(t *testing.T) {
 			[]string{"-alg", alg, "-n", "4"},
 			[]string{"-alg", alg, "-n", "3", "-worst"},
 			[]string{"-alg", alg, "-n", "3", "-mode", "simultaneous"},
-			[]string{"-alg", alg, "-n", "3", "-mode", "simultaneous", "-symmetry", "full"},
 			[]string{"-alg", alg, "-n", "4", "-sweep"},
 			[]string{"-alg", alg, "-n", "4", "-sweep", "-worst", "-symmetry", "assignments"},
 			[]string{"-alg", alg, "-n", "4", "-workers", "2"},

@@ -21,10 +21,9 @@
 // one; on any topology other than the standard cycle the reduced sweeps
 // refuse (the dihedral orbit weighting is cycle-specific) — use
 // -symmetry off there. -symmetry=assignments quotients that sweep by the
-// dihedral group with exact orbit weighting (requires -sweep);
-// -symmetry=full additionally dedups rotation-equivalent states inside
-// each exploration. Verdicts and weighted counts are identical at every
-// level (see DESIGN.md §6).
+// dihedral group with exact orbit weighting; -symmetry=full is the same
+// quotient under its own name. Both require -sweep. Verdicts and weighted
+// counts are identical at every level (see DESIGN.md §6).
 //
 // -depth bounds schedule length. Protocols with an infinite state graph
 // (decoupled-three: the network clock never repeats a value) default to
@@ -38,7 +37,8 @@
 //
 // Out-of-core and resumable sweeps (see DESIGN.md §13): -spill-dir makes
 // each exploration's visited set disk-backed once it outgrows -mem-limit
-// resident fingerprints (per worker in a sweep). -checkpoint makes a
+// resident fingerprints (per worker in a sweep); the -worst analysis keeps
+// its memo in RAM, so it refuses -spill-dir. -checkpoint makes a
 // -sweep write a checksummed checkpoint after every completed assignment
 // orbit; an interrupted sweep (Ctrl-C, SIGTERM, -timeout) restarted with
 // -resume continues from the checkpoint and finishes with counts
@@ -99,7 +99,7 @@ func runContext(ctx context.Context, args []string, w, ew io.Writer) error {
 	topology := fs.String("topology", "", "graph family to verify on (a family the protocol declares); empty = the protocol's native topology")
 	modeStr := fs.String("mode", "interleaved", "activation semantics: interleaved|simultaneous")
 	worst := fs.Bool("worst", false, "also compute exact worst-case per-process rounds")
-	symmetryStr := fs.String("symmetry", "off", "symmetry reduction: off|assignments|full (assignments requires -sweep)")
+	symmetryStr := fs.String("symmetry", "off", "a -sweep's reduction: off|assignments|full (full is the assignments quotient; both require -sweep)")
 	sweep := fs.Bool("sweep", false, "check every identifier-rank assignment, not just the increasing one (protocols with the sweep capability, see -list)")
 	depth := fs.Int("depth", 0, "schedule-depth bound (0 = protocol default); deeper states are reported PARTIAL")
 	maxStates := fs.Int("max-states", 5_000_000, "state budget; a tripped budget yields a PARTIAL report")
@@ -141,6 +141,9 @@ func runContext(ctx context.Context, args []string, w, ew io.Writer) error {
 		// only, and no report carries it to a merge.
 		return fmt.Errorf("-checkpoint/-resume/-json/-shard cover the exploration sweep only, not -worst")
 	}
+	if *spillDir != "" && *worst {
+		return fmt.Errorf("-spill-dir bounds the exploration's visited set; the -worst memo stays in RAM: drop one")
+	}
 	shardIndex, shardCount, err := parseShard(*shardStr)
 	if err != nil {
 		return err
@@ -172,8 +175,8 @@ func runContext(ctx context.Context, args []string, w, ew io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if symmetry == model.SymmetryAssignments && !*sweep {
-		return fmt.Errorf("-symmetry=assignments reduces the identifier-assignment sweep: add -sweep")
+	if symmetry != model.SymmetryOff && !*sweep {
+		return fmt.Errorf("-symmetry=%s reduces the identifier-assignment sweep: add -sweep", symmetry)
 	}
 
 	d, err := protocol.Lookup(*alg)
@@ -352,7 +355,6 @@ func sweepAlg(w io.Writer, d *protocol.Descriptor, n int, mode sim.Mode, opt mod
 				Weight:         weight,
 				States:         run.States,
 				Terminal:       run.Terminal,
-				WeightedStates: run.WeightedStates,
 				Cycle:          run.CycleFound,
 				Violations:     len(run.Violations),
 				Truncated:      run.Truncated,

@@ -218,6 +218,7 @@ func TestRunSpillMatchesInRAM(t *testing.T) {
 
 func TestRunResumableFlagValidation(t *testing.T) {
 	ck := t.TempDir() + "/ssuni.ckpt"
+	spill := t.TempDir()
 	for _, args := range [][]string{
 		{"-alg", "six", "-n", "4", "-checkpoint", "/tmp/x"},                     // requires -sweep
 		{"-alg", "six", "-n", "4", "-resume"},                                   // requires -sweep
@@ -230,6 +231,12 @@ func TestRunResumableFlagValidation(t *testing.T) {
 		{"-alg", "six", "-n", "4", "-sweep", "-worst", "-shard", "1/2"},         // a shard's worst vector is not the sweep's
 		{"-alg", "ssuni", "-n", "4", "-sweep", "-shard", "1/2"},                 // ssuni's sweep has no shards
 		{"-alg", "ssuni", "-n", "4", "-sweep", "-checkpoint", ck},               // nor checkpoints
+		{"-alg", "ssuni", "-n", "4", "-sweep", "-symmetry", "assignments"},      // nor a reduction
+		{"-alg", "ssuni", "-n", "4", "-sweep", "-spill-dir", spill},             // its state graph stays in RAM
+		{"-alg", "ssuni", "-n", "4", "-spill-dir", spill},                       // in a single check too
+		{"-alg", "decoupled-three", "-n", "4", "-spill-dir", spill},             // string-keyed visited set in RAM
+		{"-alg", "six", "-n", "4", "-worst", "-spill-dir", spill},               // the worst memo stays in RAM
+		{"-alg", "six", "-n", "4", "-sweep", "-worst", "-symmetry", "assignments", "-spill-dir", spill},
 	} {
 		if err := run(args, io.Discard, io.Discard); err == nil {
 			t.Errorf("args %v: expected error", args)

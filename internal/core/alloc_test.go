@@ -84,7 +84,7 @@ func workingOf[V any](t *testing.T, e *sim.Engine[V]) []int {
 
 // assertExpansionZeroAllocs pins one warm clone-and-step expansion:
 // CloneInto a recycled engine, Step one process, key the child by its
-// canonical fingerprint, then evaluate the registry's invariant, whose
+// 128-bit fingerprint, then evaluate the registry's invariant, whose
 // body is the protocol's contract over the engine's no-copy View. The
 // model checker now expands in place (assertUndoExpansionZeroAllocs);
 // the schedule fuzzer's clone-step leg still copies with CloneInto.
@@ -100,7 +100,7 @@ func assertExpansionZeroAllocs[V any](t *testing.T, name string, nodes []sim.Nod
 		t.Fatal(err)
 	}
 	parent.Step([]int{1})
-	parent.CanonicalFingerprintHash128()
+	parent.FingerprintHash128()
 	child := parent.Clone()
 	working := workingOf(t, parent)
 	set := make([]int, 1)
@@ -111,7 +111,7 @@ func assertExpansionZeroAllocs[V any](t *testing.T, name string, nodes []sim.Nod
 		if len(child.Step(set)) != 1 {
 			t.Fatal("the step performed no round")
 		}
-		child.CanonicalFingerprintHash128()
+		child.FingerprintHash128()
 		if err := d.Contract.Safety(g, child.View()); err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,8 @@ func TestExpansionStepZeroAllocs(t *testing.T) {
 
 // assertUndoExpansionZeroAllocs pins one warm step of the model checker's
 // in-place DFS expansion: StepUndo one process into a reused undo record,
-// key the child by its canonical fingerprint, evaluate the registry's
+// key the child by its 128-bit fingerprint (the checker's state key),
+// evaluate the registry's
 // invariant (the contract over View), then Undo.
 func assertUndoExpansionZeroAllocs[V any](t *testing.T, name string, nodes []sim.Node[V]) {
 	t.Helper()
@@ -144,7 +145,7 @@ func assertUndoExpansionZeroAllocs[V any](t *testing.T, name string, nodes []sim
 		t.Fatal(err)
 	}
 	e.Step([]int{1})
-	e.CanonicalFingerprintHash128()
+	e.FingerprintHash128()
 	var u sim.Undo[V]
 	e.StepUndo([]int{0}, &u)
 	e.Undo(&u)
@@ -156,7 +157,7 @@ func assertUndoExpansionZeroAllocs[V any](t *testing.T, name string, nodes []sim
 		if len(e.StepUndo(set, &u)) != 1 {
 			t.Fatal("the step performed no round")
 		}
-		e.CanonicalFingerprintHash128()
+		e.FingerprintHash128()
 		if err := d.Contract.Safety(g, e.View()); err != nil {
 			t.Fatal(err)
 		}

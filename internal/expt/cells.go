@@ -13,13 +13,13 @@ import (
 // The experiment runners fan their sweeps out as *cells*: one cell is one
 // independent unit of work (typically one engine run or one model-check),
 // enumerated up front with explicit coordinates and dispatched through
-// par.Map. Determinism rests on two legs:
+// par.MapCtx. Determinism rests on two legs:
 //
 //   - every cell derives its random seeds from its own coordinates via
 //     cellSeed, never from shared mutable state, so a cell computes the
 //     same result no matter which worker runs it or in which order;
-//   - par.Map returns results indexed by input position, and the runners
-//     merge them serially in enumeration order.
+//   - par.MapCtx returns results indexed by input position, and the
+//     runners merge them serially in enumeration order.
 //
 // Together these make every Table byte-identical across parallelism levels
 // (asserted by TestParallelSerialEquivalence).
@@ -31,8 +31,8 @@ import (
 // (input order, as always) plus the done mask; merge loops must skip cells
 // whose done entry is false — their result slot is the zero value.
 //
-// With a nil o.Context this degenerates to exactly par.Map's behavior, so
-// un-budgeted tables stay byte-identical at every parallelism level.
+// With a nil o.Context every cell runs, so un-budgeted tables stay
+// byte-identical at every parallelism level.
 func mapCells[T, R any](o Options, tb *Table, cells []T, f func(i int, c T) R) ([]R, []bool) {
 	work := f
 	var ws *metrics.WorkerStats

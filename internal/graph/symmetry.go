@@ -122,9 +122,8 @@ func compareImage(xs []int, g int, ref []int) int {
 // IsStandardCycle reports whether g is the standard cycle built by Cycle(n):
 // vertex i's neighbor list is exactly [(i-1) mod n, (i+1) mod n] in that
 // order. Rotations preserve this neighbor-list order (the image of i's list
-// is the list of the image vertex), which is what makes within-run rotation
-// canonicalization sound for order-sensitive execution modes; the model
-// checker falls back to unreduced exploration on any other topology.
+// is the list of the image vertex); the model checker's reduced sweeps
+// refuse any other topology.
 func IsStandardCycle(g Graph) bool {
 	n := g.N()
 	if n < 3 {

@@ -75,7 +75,7 @@ func TestSparePoisoningIsHarmless(t *testing.T) {
 		if singletons {
 			root := fiveC(t, 4)
 			root.CrashAfter(1, 2)
-			if ref := RefExplore(root, false, DefaultMaxDepth); clean.States != ref.States || clean.Terminal != ref.Terminal {
+			if ref := RefExplore(root, DefaultMaxDepth); clean.States != ref.States || clean.Terminal != ref.Terminal {
 				t.Errorf("in-place DFS found states=%d terminal=%d, exact reference %d and %d", clean.States, clean.Terminal, ref.States, ref.Terminal)
 			}
 		}
@@ -138,7 +138,7 @@ func TestCrashScheduleEquivalence(t *testing.T) {
 	if x.report.Truncated {
 		t.Fatalf("exploration truncated, equivalence vacuous: %v", x.report)
 	}
-	if ref := RefExplore(mkRoot(), false, DefaultMaxDepth); len(keys) != ref.States {
+	if ref := RefExplore(mkRoot(), DefaultMaxDepth); len(keys) != ref.States {
 		t.Fatalf("checker visited %d configurations, exact string reference %d", len(keys), ref.States)
 	}
 	visited := func(e *sim.Engine[core.FiveVal]) bool {

@@ -29,7 +29,7 @@ func fiveEngine(t testing.TB, n int) *sim.Engine[core.FiveVal] {
 func TestExploreHashVsStringEquivalence(t *testing.T) {
 	for _, n := range []int{3, 4, 5} {
 		hashRep := model.Explore(fiveEngine(t, n), model.Options{SingletonsOnly: true}, nil)
-		strRep := model.RefExplore(fiveEngine(t, n), false, model.DefaultMaxDepth)
+		strRep := model.RefExplore(fiveEngine(t, n), model.DefaultMaxDepth)
 		if hashRep.States != strRep.States || hashRep.Terminal != strRep.Terminal ||
 			hashRep.CycleFound != strRep.CycleFound || hashRep.Truncated != strRep.Truncated ||
 			hashRep.DeepestPath != strRep.DeepestPath {
@@ -84,7 +84,7 @@ func TestFairlyTerminatesHashVsString(t *testing.T) {
 		return e
 	}
 	desc, rep := model.FairlyTerminates(mk(), model.Options{SingletonsOnly: true})
-	ref := model.RefExplore(mk(), false, model.DefaultMaxDepth)
+	ref := model.RefExplore(mk(), model.DefaultMaxDepth)
 	if rep.States != ref.States {
 		t.Errorf("state graph %v vs string reference %+v", rep, ref)
 	}

@@ -20,7 +20,8 @@ type InstanceInvariant func(inst sim.Instance) error
 // Differences from the typed explorer, by design:
 //   - state identity uses the full string Fingerprint (exact, no hash
 //     lanes, so HashCollisions is always 0);
-//   - no symmetry reduction (Options.Symmetry is ignored);
+//   - the visited set stays in RAM: callers refuse Options.SpillDir
+//     rather than pass it;
 //   - clone recycling is up to the instance's CloneInto.
 //
 // For models whose configuration includes a monotone global clock (the

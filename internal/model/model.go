@@ -55,12 +55,11 @@ type Options struct {
 	// Workers <= 0 with every CPU. A single check (Explore,
 	// WorstActivations) is serial at any Workers.
 	Workers int
-	// Symmetry selects reduction under the cycle's automorphism group (see
-	// symmetry.go): SymmetryOff (default) is byte-identical to the
-	// historical checker; SymmetryAssignments reduces sweep-level
-	// identifier assignments only; SymmetryFull additionally keys the
-	// state tables by canonical (rotation-minimal) fingerprints wherever
-	// that is sound — Report.Symmetry records whether it actually engaged.
+	// Symmetry selects a sweep's reduction under the cycle's automorphism
+	// group (see symmetry.go): SymmetryOff (default) explores every
+	// identifier assignment; SymmetryAssignments and SymmetryFull explore
+	// one assignment per dihedral orbit. A single check (Explore,
+	// WorstActivations, ObstructionFree, FairlyTerminates) ignores it.
 	Symmetry Symmetry
 	// Context, when non-nil, cancels the exploration early: the checker
 	// stops claiming new branches (polled every few hundred states, so
@@ -84,9 +83,9 @@ type Options struct {
 	// 128-bit fingerprint runs are spilled to a fresh subdirectory of
 	// SpillDir and membership is resolved against the on-disk runs (see
 	// internal/ooc). State identity is the full 128-bit fingerprint —
-	// exactly the in-RAM compact tables' identity — so States, Terminal,
-	// and WeightedStates are bit-identical to an in-RAM run. A sweep's
-	// orbit workers each spill their own orbit.
+	// exactly the in-RAM compact tables' identity — so States and
+	// Terminal are bit-identical to an in-RAM run. A sweep's orbit workers
+	// each spill their own orbit.
 	SpillDir string
 	// SpillMemLimit bounds resident visited fingerprints before a spill;
 	// <= 0 selects ooc.DefaultMemLimit. Only meaningful with SpillDir. In
@@ -170,23 +169,10 @@ func (o Options) withTimeout() (Options, context.CancelFunc) {
 
 // Report summarizes an exploration.
 type Report struct {
-	// States is the number of distinct configurations visited. Under
-	// within-run symmetry reduction (Symmetry == SymmetryFull) a
-	// "configuration" is a rotation orbit, so States counts orbit
-	// representatives; WeightedStates then recovers the unreduced total.
+	// States is the number of distinct configurations visited, each keyed
+	// by its 128-bit FingerprintHash128.
 	States int
-	// WeightedStates is the sum of exact rotation-orbit sizes over the
-	// visited orbit representatives — the number of raw configurations in
-	// the union of all rotated copies of the reachable set. Zero unless
-	// Symmetry == SymmetryFull (keeping unreduced reports byte-identical).
-	WeightedStates int64
-	// Symmetry records the within-run reduction actually applied:
-	// SymmetryFull only when requested *and* sound for the instance
-	// (standard cycle; singleton sets or simultaneous mode), SymmetryOff
-	// otherwise.
-	Symmetry Symmetry
-	// Terminal counts configurations in which every process terminated
-	// (orbit representatives thereof under SymmetryFull).
+	// Terminal counts configurations in which every process terminated.
 	Terminal int
 	// Truncated reports whether a depth or state bound cut exploration
 	// short (results are then lower bounds, not exhaustive).
@@ -199,12 +185,7 @@ type Report struct {
 	// replayable certificate: playing CyclePrefix from the initial
 	// configuration reaches a configuration from which CycleLoop returns
 	// to itself — repeating CycleLoop forever is an infinite execution
-	// with working processes activated at every step. Under SymmetryFull
-	// the loop returns to a *rotation* of its start (a quotient
-	// certificate); iterating the loop with its activation sets rotated by
-	// the accumulated shift each round still realizes an infinite
-	// execution, and CycleFound itself agrees exactly with the unreduced
-	// checker's verdict.
+	// with working processes activated at every step.
 	CyclePrefix [][]int
 	CycleLoop   [][]int
 	// Violations holds the first few invariant-violation messages.
@@ -252,9 +233,6 @@ func (r *Report) noteStop(reason runctl.StopReason) {
 func (r Report) String() string {
 	s := fmt.Sprintf("states=%d terminal=%d cycle=%t violations=%d truncated=%t deepest=%d",
 		r.States, r.Terminal, r.CycleFound, len(r.Violations), r.Truncated, r.DeepestPath)
-	if r.Symmetry == SymmetryFull {
-		s += fmt.Sprintf(" symmetry=full weighted=%d", r.WeightedStates)
-	}
 	if r.Partial {
 		s += fmt.Sprintf(" [PARTIAL: %s]", r.StopReason)
 	}
@@ -272,7 +250,6 @@ type Invariant[V any] func(e *sim.Engine[V]) error
 type explorer[V any] struct {
 	opt       Options
 	inv       Invariant[V]
-	canon     bool // key states by canonical (rotation-minimal) fingerprint
 	visited   ooc.Table[struct{}]
 	onStack   ooc.Table[struct{}]
 	path      [][]int   // activation sets from the root to the current state
@@ -300,18 +277,12 @@ func newExplorer[V any](opt Options) *explorer[V] {
 	}
 }
 
-// keyOrbit computes the configuration's identity and its exact
-// rotation-orbit size; with canon set the key is the canonical
-// (rotation-minimal) fingerprint, so every rotationally equivalent
-// configuration lands on the same table slot. Note the hashes use
-// engine-owned scratch: never key a shared engine from concurrent workers.
-func (x *explorer[V]) keyOrbit(e *sim.Engine[V]) (ooc.Key, int) {
-	if !x.canon {
-		h1, h2 := e.FingerprintHash128()
-		return ooc.Key{H1: h1, H2: h2}, 1
-	}
-	h1, h2, _, orbit := e.CanonicalFingerprintHash128()
-	return ooc.Key{H1: h1, H2: h2}, orbit
+// key is the configuration's identity in every state table: its 128-bit
+// fingerprint. The hash uses engine-owned scratch: never key a shared
+// engine from concurrent workers.
+func key[V any](e *sim.Engine[V]) ooc.Key {
+	h1, h2 := e.FingerprintHash128()
+	return ooc.Key{H1: h1, H2: h2}
 }
 
 // visitedSize is the figure the VisitedSize gauge publishes for the state
@@ -358,10 +329,6 @@ func (x *explorer[V]) explore(root *sim.Engine[V]) Report {
 	x.visited.Reset()
 	x.onStack.Reset()
 	x.report, x.interrupt = Report{}, false
-	x.canon = canonApplies(root, x.opt)
-	if x.canon {
-		x.report.Symmetry = SymmetryFull
-	}
 	if x.opt.SpillDir != "" {
 		dir, err := os.MkdirTemp(x.opt.SpillDir, "spill-")
 		if err == nil {
@@ -412,7 +379,7 @@ func (x *explorer[V]) dfs(e *sim.Engine[V], depth int) {
 	if depth > x.report.DeepestPath {
 		x.report.DeepestPath = depth
 	}
-	k, orbit := x.keyOrbit(e)
+	k := key(e)
 	if _, on := x.onStack.Get(k); on {
 		if !x.report.CycleFound {
 			x.report.CycleFound = true
@@ -447,9 +414,6 @@ func (x *explorer[V]) dfs(e *sim.Engine[V], depth int) {
 		return
 	}
 	x.report.States++
-	if x.canon {
-		x.report.WeightedStates += int64(orbit)
-	}
 	if x.met != nil {
 		x.met.States.Inc()
 		x.met.FrontierDepth.SetMax(int64(depth))
@@ -522,16 +486,8 @@ func WorstActivations[V any](root *sim.Engine[V], opt Options) ([]int, bool, Rep
 		ck:   runctl.NewChecker(opt.Context, opt.Budget.Timeout),
 		met:  opt.Metrics,
 	}
-	w.canon = canonApplies(root, opt)
-	if w.canon {
-		w.report.Symmetry = SymmetryFull
-		w.rotBuf = make([]int, root.N())
-	}
 	// The analysis steps and undoes a private copy, never root itself.
 	vec := w.dfs(root.Clone(), 0)
-	if w.canon && vec != nil {
-		vec = append([]int(nil), vec...) // may alias the rotation scratch
-	}
 	w.report.HashCollisions = w.memo.Collisions() + w.onSt.Collisions()
 	ok := !w.report.CycleFound && !w.report.Truncated && !w.report.Partial
 	return vec, ok, w.report
@@ -539,60 +495,14 @@ func WorstActivations[V any](root *sim.Engine[V], opt Options) ([]int, bool, Rep
 
 type worst[V any] struct {
 	opt       Options
-	canon     bool // key states by canonical rotation-minimal fingerprint
 	memo      ooc.Table[[]int]
 	onSt      ooc.Table[struct{}]
 	report    Report
 	zero      []int         // shared all-zeros vector; callers must not mutate results
-	rotBuf    []int         // scratch for rotating memo vectors back into query frames
 	exp       expansions[V] // per-depth working sets, activation sets and undo records
 	interrupt bool
 	ck        *runctl.Checker
 	met       *metrics.Run
-}
-
-// keyRot computes the configuration's identity, the rotation carrying it
-// into its canonical frame (canonical-frame position j holds process
-// (j+rot) mod n of e) and the exact rotation-orbit size. Memo vectors are
-// stored in the canonical frame and rotated back into each query's own
-// frame on retrieval, so rotationally equivalent configurations share one
-// memo entry yet every caller sees its own process indexing.
-func (w *worst[V]) keyRot(e *sim.Engine[V]) (ooc.Key, int, int) {
-	if !w.canon {
-		h1, h2 := e.FingerprintHash128()
-		return ooc.Key{H1: h1, H2: h2}, 0, 1
-	}
-	h1, h2, rot, orbit := e.CanonicalFingerprintHash128()
-	return ooc.Key{H1: h1, H2: h2}, rot, orbit
-}
-
-// toCanon returns vec re-indexed into the canonical frame (freshly
-// allocated when a rotation is needed — the memo owns its vectors).
-func (w *worst[V]) toCanon(vec []int, rot int) []int {
-	if rot == 0 {
-		return vec
-	}
-	n := len(vec)
-	out := make([]int, n)
-	for j := 0; j < n; j++ {
-		out[j] = vec[(j+rot)%n]
-	}
-	return out
-}
-
-// fromCanon returns the canonical-frame vector v re-indexed into the frame
-// of a query with rotation rot. The result may alias w.rotBuf, which stays
-// valid until the next fromCanon call — callers consume it before
-// recursing.
-func (w *worst[V]) fromCanon(v []int, rot int) []int {
-	if rot == 0 {
-		return v
-	}
-	n := len(v)
-	for i := 0; i < n; i++ {
-		w.rotBuf[i] = v[((i-rot)%n+n)%n]
-	}
-	return w.rotBuf
 }
 
 func (w *worst[V]) dfs(e *sim.Engine[V], depth int) []int {
@@ -611,20 +521,17 @@ func (w *worst[V]) dfs(e *sim.Engine[V], depth int) []int {
 	if depth > w.report.DeepestPath {
 		w.report.DeepestPath = depth
 	}
-	k, rot, orbit := w.keyRot(e)
+	k := key(e)
 	if _, on := w.onSt.Get(k); on {
 		w.report.CycleFound = true
 		return w.zero
 	}
 	if v, ok := w.memo.Get(k); ok {
-		return w.fromCanon(v, rot)
+		return v
 	}
 	if e.AllDone() {
 		w.report.Terminal++
 		w.memo.Put(k, w.zero)
-		if w.canon {
-			w.report.WeightedStates += int64(orbit)
-		}
 		if w.met != nil {
 			w.met.States.Inc()
 			w.met.Terminal.Inc()
@@ -645,9 +552,6 @@ func (w *worst[V]) dfs(e *sim.Engine[V], depth int) []int {
 	b.working = e.AppendWorking(b.working[:0])
 	if len(b.working) == 0 {
 		w.memo.Put(k, w.zero)
-		if w.canon {
-			w.report.WeightedStates += int64(orbit)
-		}
 		return w.zero
 	}
 	w.onSt.Put(k, struct{}{})
@@ -675,10 +579,7 @@ func (w *worst[V]) dfs(e *sim.Engine[V], depth int) []int {
 		}
 	}
 	w.onSt.Delete(k)
-	w.memo.Put(k, w.toCanon(best, rot))
-	if w.canon {
-		w.report.WeightedStates += int64(orbit)
-	}
+	w.memo.Put(k, best)
 	w.report.States = w.memo.Len()
 	if w.met != nil {
 		w.met.States.Inc()

@@ -23,14 +23,6 @@ import (
 func ObstructionFree[V any](root *sim.Engine[V], opt Options, soloBound int) (string, Report) {
 	opt = opt.withDefaults()
 	x := newExplorer[V](opt)
-	// Solo-run termination is a rotation-invariant property (the solo
-	// clone of position p in one configuration behaves as the solo clone
-	// of the rotated position in its rotation image), so checking one
-	// orbit representative covers the orbit.
-	x.canon = canonApplies(root, opt)
-	if x.canon {
-		x.report.Symmetry = SymmetryFull
-	}
 	counterexample := ""
 	x.inv = func(e *sim.Engine[V]) error {
 		if counterexample != "" {
@@ -62,18 +54,11 @@ func ObstructionFree[V any](root *sim.Engine[V], opt Options, soloBound int) (st
 
 // stateGraph is the explicit reachable configuration graph used by the
 // fair-termination analysis. State identity uses the same compact-
-// fingerprint table as the explorer. With canon set, states are rotation
-// orbits: working sets and edge activation sets are stored in each state's
-// canonical frame, and every edge records the frame shift into its target
-// — enough to expand the quotient back into the full rotation closure for
-// the fairness analysis (see liftQuotient).
+// fingerprint table as the explorer.
 type stateGraph struct {
 	ids       ooc.Table[int]
-	canon     bool
-	n         int      // processes; frame arithmetic under canon
 	edges     [][]edge // adjacency: edges[s] lists transitions out of s
-	working   [][]int  // working processes per state (canonical frame under canon)
-	orbit     []int    // exact rotation-orbit size per state (canon only)
+	working   [][]int  // working processes per state
 	terminal  []bool
 	truncated bool
 
@@ -87,24 +72,6 @@ type stateGraph struct {
 type edge struct {
 	to        int
 	activated []int
-	// shift is the rotation from the source's canonical frame to the
-	// target's: lifted copy (source, t) steps to (target, (t+shift) mod n).
-	// Always 0 when the graph is unreduced.
-	shift int
-}
-
-// rotateSet returns {(p+by) mod n : p ∈ ps}, sorted — frame conversion for
-// working/activation sets.
-func rotateSet(ps []int, by, n int) []int {
-	if len(ps) == 0 {
-		return nil
-	}
-	out := make([]int, len(ps))
-	for i, p := range ps {
-		out[i] = ((p+by)%n + n) % n
-	}
-	sort.Ints(out)
-	return out
 }
 
 // FairlyTerminates checks starvation-freedom over the bounded state
@@ -120,39 +87,16 @@ func rotateSet(ps []int, by, n int) []int {
 // component, plus the exploration report.
 func FairlyTerminates[V any](root *sim.Engine[V], opt Options) (string, Report) {
 	opt = opt.withDefaults()
-	g := &stateGraph{
-		canon: canonApplies(root, opt),
-		n:     root.N(),
-	}
+	g := &stateGraph{}
 	rep := Report{}
-	if g.canon {
-		rep.Symmetry = SymmetryFull
-	}
 	buildStateGraph(root, opt, g, &rep, 0, nil)
 	rep.States = len(g.edges)
 	rep.HashCollisions = g.ids.Collisions()
 	if g.truncated {
 		rep.Truncated = true
 	}
-	if g.canon {
-		for _, o := range g.orbit {
-			rep.WeightedStates += int64(o)
-		}
-	}
-
-	// Fairness is a property of process identities along infinite runs, so
-	// the SCC analysis needs consistent identities across each component:
-	// under reduction, expand the quotient into the full rotation closure
-	// (cheap integer work, no engine stepping or hashing) and analyze that.
-	// Every SCC of the closure lies inside one rotated copy of the
-	// reachable graph — copies are successor-closed — so a fair livelock
-	// exists in the closure exactly when one exists in the unreduced graph.
-	ag := g
-	if g.canon {
-		ag = liftQuotient(g)
-	}
-	for _, scc := range tarjanSCC(ag) {
-		if desc := fairLivelock(ag, scc); desc != "" {
+	for _, scc := range tarjanSCC(g) {
+		if desc := fairLivelock(g, scc); desc != "" {
 			rep.CycleFound = true
 			return desc, rep
 		}
@@ -160,68 +104,21 @@ func FairlyTerminates[V any](root *sim.Engine[V], opt Options) (string, Report) 
 	return "", rep
 }
 
-// liftQuotient expands a canonical quotient graph into the explicit
-// rotation closure: n copies of every orbit representative, one per frame
-// offset t, with working/activation sets rotated into each copy's real
-// frame and edges following the recorded frame shifts.
-func liftQuotient(g *stateGraph) *stateGraph {
-	n := g.n
-	q := len(g.edges)
-	lift := &stateGraph{
-		n:        n,
-		edges:    make([][]edge, q*n),
-		working:  make([][]int, q*n),
-		terminal: make([]bool, q*n),
-	}
-	for id := 0; id < q; id++ {
-		for t := 0; t < n; t++ {
-			s := id*n + t
-			lift.working[s] = rotateSet(g.working[id], t, n)
-			lift.terminal[s] = g.terminal[id]
-			for _, ed := range g.edges[id] {
-				lift.edges[s] = append(lift.edges[s], edge{
-					to:        ed.to*n + (t+ed.shift)%n,
-					activated: rotateSet(ed.activated, t, n),
-				})
-			}
-		}
-	}
-	return lift
-}
-
-// buildStateGraph interns e's configuration (or its rotation orbit, under
-// canon) and recursively explores its successors. It returns the state id
-// and the rotation carrying e into the state's canonical frame (0 when
-// unreduced) — callers use the rotation to express edge data frame-
-// consistently. A non-nil legal predicate turns on the legality analysis
-// (stabilization checking): every interned state records whether it is
-// legitimate and, when not, the first violation message. legal must not
-// be combined with canon — legitimacy need not be rotation-invariant
-// (stabilizing protocols may distinguish a root process).
-func buildStateGraph[V any](e *sim.Engine[V], opt Options, g *stateGraph, rep *Report, depth int, legal func(*sim.Engine[V]) error) (int, int) {
-	var k ooc.Key
-	rot, orbit := 0, 1
-	if g.canon {
-		k.H1, k.H2, rot, orbit = e.CanonicalFingerprintHash128()
-	} else {
-		k.H1, k.H2 = e.FingerprintHash128()
-	}
+// buildStateGraph interns e's configuration and recursively explores its
+// successors, returning the state id. A non-nil legal predicate turns on
+// the legality analysis (stabilization checking): every interned state
+// records whether it is legitimate and, when not, the first violation
+// message.
+func buildStateGraph[V any](e *sim.Engine[V], opt Options, g *stateGraph, rep *Report, depth int, legal func(*sim.Engine[V]) error) int {
+	k := key(e)
 	if id, ok := g.ids.Get(k); ok {
-		return id, rot
+		return id
 	}
 	id := len(g.edges)
 	g.ids.Put(k, id)
 	working := workingSet(e)
 	g.edges = append(g.edges, nil)
-	if g.canon {
-		// Store the working set in the canonical frame (position j of the
-		// canonical frame is process (j+rot) of e, so e's process p sits at
-		// canonical position p-rot).
-		g.working = append(g.working, rotateSet(working, -rot, g.n))
-		g.orbit = append(g.orbit, orbit)
-	} else {
-		g.working = append(g.working, working)
-	}
+	g.working = append(g.working, working)
 	g.terminal = append(g.terminal, e.AllDone())
 	if legal != nil {
 		err := legal(e)
@@ -237,29 +134,24 @@ func buildStateGraph[V any](e *sim.Engine[V], opt Options, g *stateGraph, rep *R
 	}
 	if e.AllDone() {
 		rep.Terminal++
-		return id, rot
+		return id
 	}
 	if depth >= opt.MaxDepth || len(g.edges) >= opt.MaxStates {
 		g.truncated = true
-		return id, rot
+		return id
 	}
 	if len(working) == 0 {
-		return id, rot
+		return id
 	}
 	for _, subset := range subsets(working, opt.SingletonsOnly) {
 		child := e.Clone()
 		// Step's result is child-owned scratch; the edge outlives the
 		// child, so it keeps a copy.
 		performed := append([]int(nil), child.Step(subset)...)
-		to, childRot := buildStateGraph(child, opt, g, rep, depth+1, legal)
-		ed := edge{to: to, activated: performed}
-		if g.canon {
-			ed.activated = rotateSet(performed, -rot, g.n)
-			ed.shift = ((childRot-rot)%g.n + g.n) % g.n
-		}
-		g.edges[id] = append(g.edges[id], ed)
+		to := buildStateGraph(child, opt, g, rep, depth+1, legal)
+		g.edges[id] = append(g.edges[id], edge{to: to, activated: performed})
 	}
-	return id, rot
+	return id
 }
 
 // fairLivelock reports whether the given SCC constitutes a fair

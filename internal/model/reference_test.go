@@ -4,33 +4,28 @@ package model
 // over Clone/Step/Fingerprint with no hashing at all. The checker's
 // 128-bit tables conflate two configurations only when both hash lanes
 // collide, so its counts must equal these walks' counts exactly; the
-// equivalence tests (equivalence_test.go, symmetry_test.go,
-// audit_test.go) compare against them.
+// equivalence tests (equivalence_test.go, audit_test.go) compare against
+// them.
 
 import "asynccycle/internal/sim"
 
 // RefReport is the exact walk's summary, field-compatible with Report.
 type RefReport struct {
 	States, Terminal, DeepestPath int
-	WeightedStates                int64
 	CycleFound, Truncated         bool
 }
 
 // RefExplore walks every singleton schedule from root in the checker's
-// DFS order, keying configurations by their exact fingerprint string —
-// the canonical (rotation-minimal) string when canon is set, weighting
-// each by its exact rotation-orbit size — and prunes paths at maxDepth.
-func RefExplore[V any](root *sim.Engine[V], canon bool, maxDepth int) RefReport {
+// DFS order, keying configurations by their exact fingerprint string, and
+// prunes paths at maxDepth.
+func RefExplore[V any](root *sim.Engine[V], maxDepth int) RefReport {
 	var rep RefReport
 	visited := map[string]bool{}
 	onStack := map[string]bool{}
 	var dfs func(e *sim.Engine[V], depth int)
 	dfs = func(e *sim.Engine[V], depth int) {
 		rep.DeepestPath = max(rep.DeepestPath, depth)
-		fp, orbit := e.Fingerprint(), 1
-		if canon {
-			fp, _, orbit = e.CanonicalFingerprintInfo()
-		}
+		fp := e.Fingerprint()
 		if onStack[fp] {
 			rep.CycleFound = true
 			return
@@ -40,9 +35,6 @@ func RefExplore[V any](root *sim.Engine[V], canon bool, maxDepth int) RefReport 
 		}
 		visited[fp] = true
 		rep.States++
-		if canon {
-			rep.WeightedStates += int64(orbit)
-		}
 		if e.AllDone() {
 			rep.Terminal++
 			return

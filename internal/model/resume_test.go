@@ -21,31 +21,28 @@ import (
 
 func TestSpillEquivalence(t *testing.T) {
 	for _, n := range []int{4, 5} {
-		for _, sym := range []model.Symmetry{model.SymmetryOff, model.SymmetryFull} {
-			base := model.Options{SingletonsOnly: true, Symmetry: sym}
-			ref := model.Explore(fiveEngine(t, n), base, nil)
+		base := model.Options{SingletonsOnly: true}
+		ref := model.Explore(fiveEngine(t, n), base, nil)
 
-			sp := base
-			sp.SpillDir = t.TempDir()
-			// A tiny delta limit forces many spilled runs plus compaction,
-			// so membership is really answered from disk.
-			sp.SpillMemLimit = 64
-			got := model.Explore(fiveEngine(t, n), sp, nil)
+		sp := base
+		sp.SpillDir = t.TempDir()
+		// A tiny delta limit forces many spilled runs plus compaction,
+		// so membership is really answered from disk.
+		sp.SpillMemLimit = 64
+		got := model.Explore(fiveEngine(t, n), sp, nil)
 
-			if got.States != ref.States || got.Terminal != ref.Terminal ||
-				got.WeightedStates != ref.WeightedStates ||
-				got.CycleFound != ref.CycleFound || got.Truncated != ref.Truncated ||
-				got.DeepestPath != ref.DeepestPath || got.Symmetry != ref.Symmetry {
-				t.Errorf("C%d symmetry=%s: spilled run drifted:\nref  %v\ngot  %v", n, sym, ref, got)
-			}
-			// The scratch subdirectory must be gone when Explore returns.
-			left, err := os.ReadDir(sp.SpillDir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(left) != 0 {
-				t.Errorf("C%d symmetry=%s: spill scratch left behind: %v", n, sym, left)
-			}
+		if got.States != ref.States || got.Terminal != ref.Terminal ||
+			got.CycleFound != ref.CycleFound || got.Truncated != ref.Truncated ||
+			got.DeepestPath != ref.DeepestPath {
+			t.Errorf("C%d: spilled run drifted:\nref  %v\ngot  %v", n, ref, got)
+		}
+		// The scratch subdirectory must be gone when Explore returns.
+		left, err := os.ReadDir(sp.SpillDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(left) != 0 {
+			t.Errorf("C%d: spill scratch left behind: %v", n, left)
 		}
 	}
 }

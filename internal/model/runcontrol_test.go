@@ -37,8 +37,7 @@ func c5Pair(t *testing.T) *sim.Engine[core.PairVal] {
 func recordKeys[V any](x *explorer[V], inv Invariant[V]) map[ooc.Key]struct{} {
 	keys := make(map[ooc.Key]struct{})
 	x.inv = func(e *sim.Engine[V]) error {
-		k, _ := x.keyOrbit(e)
-		keys[k] = struct{}{}
+		keys[key(e)] = struct{}{}
 		if inv != nil {
 			return inv(e)
 		}

@@ -63,13 +63,12 @@ func (r StabReport) String() string {
 
 // CheckStabilization explores the reachable configuration graph from root
 // and checks closure + convergence against the legitimacy predicate
-// (nil error = legitimate). Symmetry reduction is deliberately not
-// applied: legitimacy need not be rotation-invariant (a stabilizing
-// protocol may distinguish a root process), and the instances swept are
-// small by design.
+// (nil error = legitimate). The whole state graph stays in RAM, and of
+// opt only the depth, state and violation bounds apply: callers refuse
+// SpillDir, and a sweep's Symmetry, rather than pass them.
 func CheckStabilization[V any](root *sim.Engine[V], opt Options, legal func(e *sim.Engine[V]) error) StabReport {
 	opt = opt.withDefaults()
-	g := &stateGraph{n: root.N()}
+	g := &stateGraph{}
 	rep := Report{}
 	buildStateGraph(root, opt, g, &rep, 0, legal)
 	rep.States = len(g.edges)
@@ -108,7 +107,6 @@ func CheckStabilization[V any](root *sim.Engine[V], opt Options, legal func(e *s
 	// subgraph (legitimate states become isolated, so they only form
 	// trivial SCCs that fairLivelock skips).
 	sub := &stateGraph{
-		n:        g.n,
 		edges:    make([][]edge, len(g.edges)),
 		working:  g.working,
 		terminal: g.terminal,

@@ -1,34 +1,20 @@
 package model
 
-// Symmetry reduction under the cycle's automorphism group, in two
-// independent layers (see DESIGN.md §6 for the full soundness argument):
+// Sweep reduction under the cycle's automorphism group (see DESIGN.md §6
+// for the soundness argument): an exhaustive sweep over all n!
+// identifier-rank assignments of C_n keeps one representative per orbit of
+// the dihedral group D_n (2n rotations/reflections) and weights its counts
+// by the exact orbit size. Running the image assignment is isomorphic to
+// running the original — rotations preserve the engine's fixed
+// neighbor-list order outright, and reflections reverse it, which the
+// algorithms cannot observe (they are neighbor-order-insensitive; the repo
+// pins this with ShuffledNeighbors tests). Reduced sweep totals therefore
+// multiply back to the unreduced totals exactly; the differential tests
+// assert bit-exact equality.
 //
-//   - Assignment-level (SymmetryAssignments): an exhaustive sweep over all
-//     n! identifier-rank assignments of C_n keeps one representative per
-//     orbit of the dihedral group D_n (2n rotations/reflections) and
-//     weights its counts by the exact orbit size. Running the image
-//     assignment is isomorphic to running the original — rotations
-//     preserve the engine's fixed neighbor-list order outright, and
-//     reflections reverse it, which the algorithms cannot observe (they
-//     are neighbor-order-insensitive; the repo pins this with
-//     ShuffledNeighbors tests). Reduced sweep totals therefore multiply
-//     back to the unreduced totals exactly; the differential tests assert
-//     bit-exact equality.
-//
-//   - Within-run (SymmetryFull): on top of the assignment quotient, each
-//     exploration keys its visited/memo tables by the canonical
-//     (rotation-minimal) fingerprint, so rotationally equivalent
-//     configurations collapse to one state. Only the n rotations are used
-//     — they are automorphisms of the *labeled transition system*, not
-//     just the algorithm — and only in configurations where stepping
-//     commutes with rotation: singleton activation sets (any mode) or
-//     ModeSimultaneous sets. Interleaved multi-element sets execute in
-//     ascending index order, which relabeling does not preserve, so the
-//     checker silently falls back to unreduced keying there (and on any
-//     non-standard-cycle topology); Report.Symmetry records what was
-//     actually applied.
-//
-// The default SymmetryOff preserves the historical behavior byte-for-byte.
+// Every exploration keys its states by the plain fingerprint: on the
+// registry's instances, whose identifiers are distinct, a rotation-minimal
+// key merged no states.
 
 import (
 	"fmt"
@@ -40,19 +26,20 @@ import (
 	"asynccycle/internal/sim"
 )
 
-// Symmetry selects the reduction level.
+// Symmetry selects a sweep's reduction level.
 type Symmetry int
 
 const (
-	// SymmetryOff disables all reduction (the default; byte-identical to
-	// the pre-symmetry checker).
+	// SymmetryOff disables all reduction (the default): a sweep explores
+	// every assignment.
 	SymmetryOff Symmetry = iota
 	// SymmetryAssignments quotients sweep-level identifier assignments by
 	// D_n with exact orbit weighting; each representative run is itself
 	// unreduced.
 	SymmetryAssignments
-	// SymmetryFull adds within-run canonical-fingerprint state dedup by
-	// the rotation subgroup, where provably sound (see package comment).
+	// SymmetryFull is the assignment quotient too: it reduces a sweep
+	// exactly as SymmetryAssignments does, and reports and checkpoints
+	// keep its own name.
 	SymmetryFull
 )
 
@@ -79,20 +66,6 @@ func ParseSymmetry(s string) (Symmetry, error) {
 		return SymmetryFull, nil
 	}
 	return SymmetryOff, fmt.Errorf("model: unknown symmetry level %q (want off|assignments|full)", s)
-}
-
-// canonApplies reports whether within-run rotation canonicalization is
-// sound for this root: SymmetryFull requested, standard-cycle topology
-// (neighbor lists in [i-1, i+1] order, which rotations preserve), and
-// either singleton-only activation sets or simultaneous-mode semantics.
-func canonApplies[V any](root *sim.Engine[V], opt Options) bool {
-	if opt.Symmetry != SymmetryFull {
-		return false
-	}
-	if !graph.IsStandardCycle(root.Graph()) {
-		return false
-	}
-	return opt.SingletonsOnly || root.Mode() == sim.ModeSimultaneous
 }
 
 // SweepReport aggregates an exhaustive identifier-assignment sweep.
@@ -219,9 +192,8 @@ func sweep[V any](n int, mk func(xs []int) (*sim.Engine[V], error), opt Options,
 		// Reduced sweeps weight orbit representatives by dihedral orbit
 		// sizes, a standard-cycle-only argument; probe the engine factory's
 		// topology with the identity assignment and refuse loudly on
-		// anything else. (canonApplies already falls back per-run, but the
-		// assignment-level weighting has no sound fallback short of
-		// SymmetryOff.)
+		// anything else: the weighting has no sound fallback short of
+		// SymmetryOff.
 		probe, err := mk(identityAssignment(n))
 		if err != nil {
 			return SweepReport{}, fmt.Errorf("model: sweep topology probe: %w", err)

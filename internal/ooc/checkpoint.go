@@ -72,7 +72,6 @@ type OrbitRecord struct {
 	Weight         int   `json:"weight"`
 	States         int   `json:"states"`
 	Terminal       int   `json:"terminal"`
-	WeightedStates int64 `json:"weighted_states,omitempty"`
 	Cycle          bool  `json:"cycle,omitempty"`
 	Violations     int   `json:"violations,omitempty"`
 	Truncated      bool  `json:"truncated,omitempty"`

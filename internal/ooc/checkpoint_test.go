@@ -20,11 +20,10 @@ func sampleCheckpoint(orbits int) *Checkpoint {
 	}
 	for i := 0; i < orbits; i++ {
 		rec := OrbitRecord{
-			Assignment:     []int{1, 2, 3, 4, 5, 6 + i},
-			Weight:         12,
-			States:         1000 + i,
-			Terminal:       10 + i,
-			WeightedStates: int64(6000 + i),
+			Assignment: []int{1, 2, 3, 4, 5, 6 + i},
+			Weight:     12,
+			States:     1000 + i,
+			Terminal:   10 + i,
 		}
 		cp.Orbits = append(cp.Orbits, rec)
 		cp.Cursor = rec.Assignment

@@ -5,11 +5,11 @@
 // The contract is the one SPIN-style explicit-state checkers and
 // deterministic-replay harnesses rely on: work items are independent, each
 // item's result depends only on the item (never on execution order), and
-// results are delivered in input order. Under that contract Map is
+// results are delivered in input order. Under that contract MapCtx is
 // observably identical to a serial loop — callers that derive their
 // randomness from item coordinates (rather than from shared mutable state)
 // therefore produce byte-identical output at any parallelism level. Run,
-// the claim-and-commit loop under Map and MapCtx, goes one step further:
+// the claim-and-commit loop under MapCtx, goes one step further:
 // it hands each result to a commit callback in input order while the pool
 // is still running, so a caller can fold, checkpoint and stop exactly as
 // its serial loop would.
@@ -171,30 +171,22 @@ func closed(done <-chan struct{}) bool {
 	}
 }
 
-// Map applies f to every item, fanning the calls out over at most workers
-// goroutines, and returns the results in input order: out[i] == f(i,
-// items[i]). workers <= 0 means runtime.GOMAXPROCS(0); workers == 1 (or a
-// single item) runs inline with no goroutines, so the serial path is the
-// parallel path with the pool removed.
+// MapCtx applies f to every item, fanning the calls out over at most
+// workers goroutines, and returns the results in input order: out[i] ==
+// f(i, items[i]). workers <= 0 means runtime.GOMAXPROCS(0); workers == 1
+// (or a single item) runs inline with no goroutines, so the serial path is
+// the parallel path with the pool removed.
 //
 // f must treat items as independent: it must not mutate shared state
 // without its own synchronization, and its result must not depend on the
 // completion order of other items. A panic in any call is re-raised in the
 // caller after the pool drains, so no goroutine is leaked.
-func Map[T, R any](workers int, items []T, f func(i int, item T) R) []R {
-	out, _ := MapCtx(nil, workers, items, nil, f)
-	return out
-}
-
-// MapCtx is Map with run control and observability: workers stop claiming
-// new items once ctx is cancelled (items already being processed run to
-// completion), and each finished item is recorded into ws (which may be
-// nil). It returns the results plus a done slice marking which items
-// actually ran — out[i] is f's result when done[i], the zero value
-// otherwise. A nil ctx behaves like context.Background, making MapCtx with
-// all items done observably identical to Map: results are delivered in
-// input order under the same independence contract, so deterministic
-// callers stay byte-identical at every parallelism level.
+//
+// Workers stop claiming new items once ctx is cancelled (items already
+// being processed run to completion; a nil ctx never is), and each
+// finished item is recorded into ws (which may be nil). Besides the
+// results, MapCtx returns a done slice marking which items actually ran —
+// out[i] is f's result when done[i], the zero value otherwise.
 func MapCtx[T, R any](ctx context.Context, workers int, items []T, ws *metrics.WorkerStats, f func(i int, item T) R) ([]R, []bool) {
 	out := make([]R, len(items))
 	done := make([]bool, len(items))

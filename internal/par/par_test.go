@@ -18,7 +18,7 @@ func TestMapOrderAndValues(t *testing.T) {
 		items[i] = i * 3
 	}
 	for _, workers := range []int{0, 1, 2, 4, 7, 100, 1000} {
-		out := Map(workers, items, func(i, item int) string {
+		out, _ := MapCtx(nil, workers, items, nil, func(i, item int) string {
 			return fmt.Sprintf("%d:%d", i, item)
 		})
 		if len(out) != len(items) {
@@ -34,7 +34,7 @@ func TestMapOrderAndValues(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	out := Map(4, nil, func(i, item int) int { return item })
+	out, _ := MapCtx(nil, 4, nil, nil, func(i, item int) int { return item })
 	if len(out) != 0 {
 		t.Fatalf("got %d results for empty input", len(out))
 	}
@@ -53,9 +53,9 @@ func TestMapDeterministicMerge(t *testing.T) {
 		h := uint64(item)*0x9E3779B97F4A7C15 + 1
 		return h ^ h>>29
 	}
-	serial := Map(1, items, f)
+	serial, _ := MapCtx(nil, 1, items, nil, f)
 	for _, workers := range []int{2, 3, 8, 64} {
-		got := Map(workers, items, f)
+		got, _ := MapCtx(nil, workers, items, nil, f)
 		for i := range serial {
 			if got[i] != serial[i] {
 				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, got[i], serial[i])
@@ -66,7 +66,7 @@ func TestMapDeterministicMerge(t *testing.T) {
 
 func TestMapEachItemOnce(t *testing.T) {
 	counts := make([]atomic.Int32, 500)
-	Map(8, make([]struct{}, len(counts)), func(i int, _ struct{}) struct{} {
+	MapCtx(nil, 8, make([]struct{}, len(counts)), nil, func(i int, _ struct{}) struct{} {
 		counts[i].Add(1)
 		return struct{}{}
 	})
@@ -87,7 +87,7 @@ func TestMapPanicPropagates(t *testing.T) {
 			t.Fatalf("unexpected panic value %v", r)
 		}
 	}()
-	Map(4, []int{0, 1, 2, 3, 4, 5, 6, 7}, func(i, item int) int {
+	MapCtx(nil, 4, []int{0, 1, 2, 3, 4, 5, 6, 7}, nil, func(i, item int) int {
 		if item == 3 {
 			panic("boom")
 		}
@@ -100,7 +100,10 @@ func TestMapCtxAllDoneMatchesMap(t *testing.T) {
 	for i := range items {
 		items[i] = i
 	}
-	want := Map(4, items, func(i, item int) int { return item * item })
+	want := make([]int, len(items))
+	for i, item := range items {
+		want[i] = item * item
+	}
 	for _, workers := range []int{1, 4, 0} {
 		got, done := MapCtx(nil, workers, items, nil, func(i, item int) int { return item * item })
 		if !AllDone(done) {

@@ -136,8 +136,11 @@ func registerDecoupled() {
 		// Check explores the tick-transition system. The clock makes the
 		// reachable graph infinite and acyclic, so callers should bound
 		// Options.MaxDepth and read Truncated reports as verdicts over all
-		// schedules of at most MaxDepth ticks.
+		// schedules of at most MaxDepth ticks. The visited set stays in RAM.
 		Check: func(xs []int, mode sim.Mode, opt model.Options) (model.Report, error) {
+			if opt.SpillDir != "" {
+				return model.Report{}, fmt.Errorf("decoupled-three check: spilling (SpillDir) is not supported")
+			}
 			e, g, err := mk(xs, nil)
 			if err != nil {
 				return model.Report{}, err

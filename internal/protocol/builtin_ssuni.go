@@ -139,8 +139,11 @@ func registerSSUni() {
 
 		// Check certifies stabilization from the given initial state:
 		// exhaustive closure + fair-convergence analysis over the
-		// reachable configuration graph.
+		// reachable configuration graph, which stays in RAM.
 		Check: func(xs []int, mode sim.Mode, opt model.Options) (model.Report, error) {
+			if opt.SpillDir != "" {
+				return model.Report{}, errors.New("ssuni check: spilling (SpillDir) is not supported")
+			}
 			e, err := mk(xs, mode, nil)
 			if err != nil {
 				return model.Report{}, err
@@ -150,9 +153,9 @@ func registerSSUni() {
 
 		// Sweep certifies stabilization from ALL 3^n initial states — the
 		// stabilizing analogue of the identifier-assignment sweep. It is one
-		// serial loop over every start with no sharding, checkpoints or
-		// resume, so it refuses those options rather than sweep everything
-		// and drop them.
+		// serial, unreduced loop over every start, each checked in RAM, with
+		// no sharding, checkpoints or resume, so it refuses those options
+		// rather than sweep everything and drop them.
 		Sweep: func(n int, mode sim.Mode, opt model.Options) (model.SweepReport, error) {
 			if n < 3 {
 				return model.SweepReport{}, fmt.Errorf("cycle needs n ≥ 3, got %d", n)
@@ -164,6 +167,10 @@ func registerSSUni() {
 				return model.SweepReport{}, errors.New("ssuni sweep: checkpoints (OnOrbitDone) are not supported")
 			case opt.SweepResume != nil:
 				return model.SweepReport{}, errors.New("ssuni sweep: resuming (SweepResume) is not supported")
+			case opt.Symmetry != model.SymmetryOff:
+				return model.SweepReport{}, errors.New("ssuni sweep: symmetry reduction (Symmetry) is not supported")
+			case opt.SpillDir != "":
+				return model.SweepReport{}, errors.New("ssuni sweep: spilling (SpillDir) is not supported")
 			}
 			ck := runctl.NewChecker(opt.Context, opt.Budget.Timeout)
 			rep := model.SweepReport{N: n, AllOk: true}

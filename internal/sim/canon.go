@@ -1,21 +1,15 @@
-// Canonical (rotation-minimal) configuration fingerprints. On the standard
-// cycle C_n every rotation i ↦ i-k is a structural automorphism of the
-// engine's transition system: neighbor lists keep their [i-1, i+1] order,
-// so stepping the relabeled configuration is the relabeling of the stepped
-// configuration, in both activation modes (singleton and simultaneous
-// steps; interleaved multi-element sets execute in ascending index order
-// and are *not* equivariant, which is why the model checker only enables
-// canonicalization in configurations it has proven safe — see
-// internal/model and DESIGN.md §6). Rotating a configuration rotates its
-// sequence of per-node digests, so the fingerprint of the least rotation
-// of that sequence is shared by the whole rotation orbit, and the orbit
-// size is the sequence's smallest period.
+// Canonical (rotation-minimal) configuration fingerprints. Rotating a
+// configuration of the standard cycle C_n rotates its sequence of per-node
+// digests, so the fingerprint of the least rotation of that sequence is
+// shared by the whole rotation orbit, and the orbit size is the sequence's
+// smallest period.
 //
-// Reflections are deliberately excluded here: they reverse neighbor-list
-// order, so they are automorphisms of the *algorithms* (which are
-// order-insensitive) but not of the engine's fixed-order views. Assignment
-// sweeps exploit the full dihedral group instead, at the level of initial
-// identifier assignments (graph.CanonicalAssignment).
+// The model checker keys states by the plain FingerprintHash128: with
+// distinct identifiers, a rotated copy of a reachable configuration is
+// not reachable on any instance the registry builds, so the least
+// rotation merged no states (DESIGN.md §6). perfbench's tracer
+// (perfbench/trace.go) is the only caller outside the tests; matching the
+// tracer to the checker (ROADMAP item 1) removes it, and this file with it.
 package sim
 
 import "cmp"
@@ -71,25 +65,4 @@ func cmpRotations(d []digest, k, r int) int {
 		}
 	}
 	return 0
-}
-
-// CanonicalFingerprintInfo is the exact string-mode counterpart of
-// CanonicalFingerprintHash128: the lexicographically smallest rotated
-// fingerprint, its argmin rotation, and the exact rotation-orbit size.
-// It allocates (n string builds); the model checker never calls it, and
-// the tests use it as the exact reference for the hashed canonical form.
-func (e *Engine[V]) CanonicalFingerprintInfo() (fp string, rot, orbit int) {
-	n := len(e.nodes)
-	fp = e.FingerprintRotated(0)
-	rot, mult := 0, 1
-	for k := 1; k < n; k++ {
-		s := e.FingerprintRotated(k)
-		switch {
-		case s < fp:
-			fp, rot, mult = s, k, 1
-		case s == fp:
-			mult++
-		}
-	}
-	return fp, rot, n / mult
 }

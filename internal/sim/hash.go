@@ -128,8 +128,8 @@ func (e *Engine[V]) FingerprintHash128() (uint64, uint64) {
 // FingerprintHashRotated returns both lanes of the compact fingerprint of
 // the configuration relabeled by the cycle rotation i ↦ i-k mod n: it
 // folds the node digests in the order of processes k, k+1, …, k-1 (mod
-// n), mirroring FingerprintRotated. FingerprintHashRotated(0) is
-// FingerprintHash128.
+// n). FingerprintHashRotated(0) is FingerprintHash128. Its only caller
+// with k ≠ 0 is CanonicalFingerprintHash128 (see canon.go).
 func (e *Engine[V]) FingerprintHashRotated(k int) (uint64, uint64) {
 	d := e.digests()
 	h := &e.fph

@@ -233,9 +233,6 @@ func (e *Engine[V]) SetMode(m Mode) { e.mode = m }
 // Clone/CloneInto copies, so model-checker branches stay silent.
 func (e *Engine[V]) SetMetrics(r *metrics.Run) { e.met = r }
 
-// Mode returns the engine's activation semantics.
-func (e *Engine[V]) Mode() Mode { return e.mode }
-
 // CrashAfter arranges for process i to crash once it has performed k
 // rounds (k == 0 means it never wakes). It overrides any previous limit.
 func (e *Engine[V]) CrashAfter(i, k int) {
@@ -669,21 +666,9 @@ func (e *Engine[V]) CloneInto(dst *Engine[V]) *Engine[V] {
 // evolve differently). Limit-free fingerprints are byte-identical to the
 // historical encoding.
 func (e *Engine[V]) Fingerprint() string {
-	return e.FingerprintRotated(0)
-}
-
-// FingerprintRotated returns the Fingerprint of the configuration relabeled
-// by the cycle rotation i ↦ i-k mod n: position j of the encoding carries
-// process (j+k) mod n. FingerprintRotated(0) is exactly Fingerprint.
-func (e *Engine[V]) FingerprintRotated(k int) string {
-	n := len(e.nodes)
 	var b strings.Builder
-	for j := 0; j < n; j++ {
-		i := j + k
-		if i >= n {
-			i -= n
-		}
-		fmt.Fprintf(&b, "%d[", j)
+	for i := range e.nodes {
+		fmt.Fprintf(&b, "%d[", i)
 		if e.regs[i].Present {
 			fmt.Fprintf(&b, "r=%v", e.regs[i].Val)
 		} else {
