@@ -329,7 +329,6 @@ func sweepAlg(w io.Writer, d *protocol.Descriptor, n int, mode sim.Mode, opt mod
 	if err != nil {
 		return err
 	}
-	var orbits []ooc.OrbitRecord
 	if cfg.resume {
 		cp, fromPrev, err := ooc.Load(cfg.checkpoint)
 		if err != nil {
@@ -342,29 +341,17 @@ func sweepAlg(w io.Writer, d *protocol.Descriptor, n int, mode sim.Mode, opt mod
 		if fromPrev {
 			fmt.Fprintf(cfg.ew, "modelcheck: primary checkpoint unreadable (torn write?); resumed from %s.prev\n", cfg.checkpoint)
 		}
-		orbits = cp.Orbits
 		opt.SweepResume = &model.SweepResume{
 			Cursor: cp.Cursor,
 			Totals: totalsToReport(cp.Totals),
 		}
 	}
 	if cfg.checkpoint != "" {
-		opt.OnOrbitDone = func(xs []int, weight int, run model.Report, cum model.SweepReport) error {
-			orbits = append(orbits, ooc.OrbitRecord{
-				Assignment:     xs,
-				Weight:         weight,
-				States:         run.States,
-				Terminal:       run.Terminal,
-				Cycle:          run.CycleFound,
-				Violations:     len(run.Violations),
-				Truncated:      run.Truncated,
-				HashCollisions: run.HashCollisions,
-			})
+		opt.OnOrbitDone = func(xs []int, _ int, _ model.Report, cum model.SweepReport) error {
 			return ooc.Save(cfg.checkpoint, &ooc.Checkpoint{
 				Version: ooc.CheckpointVersion,
 				Meta:    cfg.meta,
 				Cursor:  xs,
-				Orbits:  orbits,
 				Totals:  totalsFromReport(cum),
 			})
 		}

@@ -22,11 +22,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"asynccycle/internal/graph"
 	"asynccycle/internal/runctl"
 	"asynccycle/internal/schedule"
+	"asynccycle/internal/sim"
 )
 
 // Message is one buffered delivery: the value a neighbor's register held
@@ -52,27 +54,6 @@ type Proc[V any] interface {
 	// Clone returns a deep copy, used by the bounded model checker and the
 	// schedule fuzzer to branch executions.
 	Clone() Proc[V]
-}
-
-// Result mirrors the state-model result for DECOUPLED executions.
-type Result struct {
-	Outputs     []int
-	Done        []bool
-	Crashed     []bool
-	Activations []int
-	// CommRounds is the number of communication-layer ticks consumed.
-	CommRounds int
-}
-
-// TerminatedCount returns how many processes decided.
-func (r Result) TerminatedCount() int {
-	n := 0
-	for _, d := range r.Done {
-		if d {
-			n++
-		}
-	}
-	return n
 }
 
 // ErrStepLimit is returned when the execution exceeds its tick budget.
@@ -209,7 +190,7 @@ func neighborSlot(g graph.Graph, v, u int) int {
 // (returning ErrStepLimit along with the partial result). As in the state
 // model, runctl.EmptyStreak consecutive ticks without any process step
 // crash the remaining processes.
-func (e *Engine[V]) Run(s schedule.Scheduler, maxTicks int) (Result, error) {
+func (e *Engine[V]) Run(s schedule.Scheduler, maxTicks int) (sim.Result, error) {
 	res, reason := e.RunBudget(nil, s, runctl.Budget{MaxSteps: maxTicks})
 	if reason == runctl.StopMaxSteps {
 		return res, fmt.Errorf("%w: %d ticks, scheduler %s", ErrStepLimit, e.tick, s.Name())
@@ -222,9 +203,9 @@ func (e *Engine[V]) Run(s schedule.Scheduler, maxTicks int) (Result, error) {
 // tick count reaches b.MaxSteps — the network clock is part of the model,
 // so the step axis bounds communication rounds — or the process steps
 // taken reach b.MaxActivations.
-func (e *Engine[V]) RunBudget(ctx context.Context, s schedule.Scheduler, b runctl.Budget) (Result, runctl.StopReason) {
+func (e *Engine[V]) RunBudget(ctx context.Context, s schedule.Scheduler, b runctl.Budget) (sim.Result, runctl.StopReason) {
 	reason, _ := runctl.Drive(ctx, b, &driver[V]{e: e, s: s})
-	return e.result(), reason
+	return e.Result(), reason
 }
 
 // driver binds an engine to the scheduler of one run for runctl.Drive.
@@ -273,37 +254,76 @@ func (e *Engine[V]) AllDone() bool {
 	return true
 }
 
-// Snapshot returns the current execution state as a Result, even if the
-// execution has not settled.
-func (e *Engine[V]) Snapshot() Result { return e.result() }
+// Result snapshots the execution state as a state-model Result, even if
+// the execution has not settled. Steps counts communication-layer ticks.
+func (e *Engine[V]) Result() sim.Result {
+	return sim.Result{
+		Outputs:     append([]int(nil), e.outputs...),
+		Done:        append([]bool(nil), e.done...),
+		Crashed:     append([]bool(nil), e.crashed...),
+		Activations: append([]int(nil), e.acts...),
+		Steps:       e.tick,
+	}
+}
 
 // Clone deep-copies the engine (including process states via Proc.Clone
 // and the in-flight communication buffers), for execution branching by the
 // bounded model checker and the schedule fuzzer.
-func (e *Engine[V]) Clone() *Engine[V] {
+func (e *Engine[V]) Clone() *Engine[V] { return e.CloneInto(nil) }
+
+// CloneInto deep-copies e into dst, reusing dst's slices where their
+// capacities allow (processes are always cloned), and returns dst; dst ==
+// nil behaves like Clone.
+func (e *Engine[V]) CloneInto(dst *Engine[V]) *Engine[V] {
+	if dst == nil {
+		dst = &Engine[V]{}
+	}
 	n := len(e.procs)
-	d := &Engine[V]{
-		g:       e.g,
-		procs:   make([]Proc[V], n),
-		emit:    append([]V(nil), e.emit...),
-		started: append([]bool(nil), e.started...),
-		buffers: make([][]Message[V], n),
-		done:    append([]bool(nil), e.done...),
-		crashed: append([]bool(nil), e.crashed...),
-		outputs: append([]int(nil), e.outputs...),
-		acts:    append([]int(nil), e.acts...),
-		limits:  append([]int(nil), e.limits...),
-		tick:    e.tick,
-	}
+	dst.g = e.g
+	dst.procs = slices.Grow(dst.procs[:0], n)[:n]
 	for i, p := range e.procs {
-		d.procs[i] = p.Clone()
+		dst.procs[i] = p.Clone()
 	}
+	dst.emit = append(dst.emit[:0], e.emit...)
+	dst.started = append(dst.started[:0], e.started...)
+	dst.buffers = slices.Grow(dst.buffers[:0], n)[:n]
 	for i, buf := range e.buffers {
-		if len(buf) > 0 {
-			d.buffers[i] = append([]Message[V](nil), buf...)
-		}
+		dst.buffers[i] = append(dst.buffers[i][:0], buf...)
 	}
-	return d
+	dst.done = append(dst.done[:0], e.done...)
+	dst.crashed = append(dst.crashed[:0], e.crashed...)
+	dst.outputs = append(dst.outputs[:0], e.outputs...)
+	dst.acts = append(dst.acts[:0], e.acts...)
+	dst.limits = append(dst.limits[:0], e.limits...)
+	dst.tick = e.tick
+	return dst
+}
+
+// Undo is the record StepUndo keeps of one tick: a whole copy of the
+// engine as it was before. The DECOUPLED state spaces the checker
+// explores are small and depth-bounded, so a copy per tick costs little.
+// Its zero value is ready to use, and one record serves any number of
+// StepUndo/Undo pairs in turn.
+type Undo[V any] struct{ before *Engine[V] }
+
+// StepUndo is Tick, recording in u what Undo(u) needs to restore the
+// configuration exactly. Ticks are taken back last in, first out.
+func (e *Engine[V]) StepUndo(active []int, u *Undo[V]) []int {
+	u.before = e.CloneInto(u.before)
+	return e.Tick(active)
+}
+
+// Undo takes back the tick recorded in u. It trades storage with the
+// record instead of copying; u's next StepUndo overwrites what it holds.
+func (e *Engine[V]) Undo(u *Undo[V]) { *e, *u.before = *u.before, *e }
+
+// FingerprintHash128 is the model checker's state key: the two-lane
+// sim.FPHasher digest of Fingerprint.
+func (e *Engine[V]) FingerprintHash128() (uint64, uint64) {
+	var h sim.FPHasher
+	h.Reset()
+	h.HashString(e.Fingerprint())
+	return h.Sum128()
 }
 
 // Fingerprint returns a canonical string encoding of the configuration:
@@ -337,14 +357,4 @@ func (e *Engine[V]) Fingerprint() string {
 		b.WriteString(")]")
 	}
 	return b.String()
-}
-
-func (e *Engine[V]) result() Result {
-	return Result{
-		Outputs:     append([]int(nil), e.outputs...),
-		Done:        append([]bool(nil), e.done...),
-		Crashed:     append([]bool(nil), e.crashed...),
-		Activations: append([]int(nil), e.acts...),
-		CommRounds:  e.tick,
-	}
 }

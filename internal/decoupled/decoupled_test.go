@@ -9,9 +9,10 @@ import (
 	"asynccycle/internal/graph"
 	"asynccycle/internal/ids"
 	"asynccycle/internal/schedule"
+	"asynccycle/internal/sim"
 )
 
-func properCycle(t *testing.T, res decoupled.Result, maxColor int) {
+func properCycle(t *testing.T, res sim.Result, maxColor int) {
 	t.Helper()
 	n := len(res.Outputs)
 	for i := 0; i < n; i++ {

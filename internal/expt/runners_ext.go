@@ -86,7 +86,7 @@ func E14Decoupled(o Options) *Table {
 			}
 		}
 		r.colors = len(used)
-		r.rounds = res.CommRounds
+		r.rounds = res.Steps
 		return r
 	})
 	for i, c := range cells {

@@ -29,10 +29,10 @@
 // internal/protocol that exposes an instance surface; the oracles derive
 // from the descriptor's correctness contract (internal/contract): safety
 // is Contract.Safety (bare contracts keep the pre-contract violation text
-// byte-for-byte) and the liveness bound is Bound. Stabilizing contracts
-// (liveness closure+convergence) replace the end-state safety check —
-// transiently illegal configurations are the whole point of
-// self-stabilization — with a convergence oracle: after
+// byte-for-byte) and the liveness bound is the descriptor's Bound.
+// Stabilizing contracts (liveness closure+convergence) replace the
+// end-state safety check — transiently illegal configurations are the
+// whole point of self-stabilization — with a convergence oracle: after
 // the adversarial prefix, a fair crash-free round-robin suffix of the
 // contract's ConvergenceBound activations must reach a configuration
 // that satisfies Safety and is a fixpoint across one further full pass
@@ -57,7 +57,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -207,34 +206,6 @@ func (r Report) Write(w io.Writer) {
 		fmt.Fprintf(w, "PARTIAL (%s): %d of %d cells unexplored; the report covers completed cells only\n",
 			r.StopReason, r.Campaign-r.Schedules, r.Campaign)
 	}
-}
-
-// Bound returns the per-process activation bound the liveness oracle
-// enforces for alg on an n-process instance. It reads the registered
-// protocol descriptor — the paper's wait-freedom bounds for the coloring
-// algorithms (⌊3n/2⌋+4 for Algorithm 1, 3n+8 for Algorithm 2, an
-// O(log* n) budget for Algorithm 3) — and falls back to the Algorithm 3
-// formula for unregistered names, preserving its historical behavior.
-// A non-positive result means the protocol carries no wait-freedom bound
-// and the liveness oracle is disabled.
-func Bound(alg string, n int) int {
-	if d, err := protocol.Lookup(alg); err == nil {
-		if d.Bound == nil {
-			return 0
-		}
-		return d.Bound(n)
-	}
-	return 8 * (logStar(float64(n)) + 4)
-}
-
-// logStar is the iterated binary logarithm.
-func logStar(x float64) int {
-	s := 0
-	for x > 1 {
-		x = math.Log2(x)
-		s++
-	}
-	return s
 }
 
 // cellResult is one cell's contribution, merged in cell order.

@@ -25,18 +25,6 @@ func TestCampaignUnknownAlg(t *testing.T) {
 	}
 }
 
-func TestBound(t *testing.T) {
-	if got := Bound("six", 10); got != 19 {
-		t.Errorf("six bound = %d, want ⌊3·10/2⌋+4 = 19", got)
-	}
-	if got := Bound("five", 10); got != 38 {
-		t.Errorf("five bound = %d, want 3·10+8 = 38", got)
-	}
-	if got := Bound("fast", 1024); got > Bound("fast", 1<<20) {
-		t.Errorf("fast bound not monotone: %d > %d", got, Bound("fast", 1<<20))
-	}
-}
-
 // TestGenDeterministic: the generator is a pure function of its rng — two
 // identically seeded generators driving identical engines record identical
 // schedules.
@@ -45,7 +33,7 @@ func TestGenDeterministic(t *testing.T) {
 		g := graph.MustCycle(7)
 		xs := []int{3, 9, 1, 12, 6, 0, 8}
 		e := newTypedEngine(g, core.NewFiveNodes(xs), sim.ModeInterleaved, nil)
-		rec := schedule.NewRecording(newGen(rand.New(rand.NewSource(99)), Bound("five", 7)))
+		rec := schedule.NewRecording(newGen(rand.New(rand.NewSource(99)), registeredBound(t, "five", 7)))
 		for t := 0; !e.AllSettled() && t < 10_000; t++ {
 			e.Step(rec.Next(e, nil))
 		}
@@ -66,7 +54,7 @@ func TestGenNeverEmptyWhileWorking(t *testing.T) {
 	g := graph.MustCycle(9)
 	xs := rand.New(rand.NewSource(4)).Perm(36)[:9]
 	e := newTypedEngine(g, core.NewFastNodes(xs), sim.ModeInterleaved, nil)
-	gen := newGen(rand.New(rand.NewSource(4)), Bound("fast", 9))
+	gen := newGen(rand.New(rand.NewSource(4)), registeredBound(t, "fast", 9))
 	for t2 := 0; !e.AllSettled() && t2 < 5_000; t2++ {
 		set := gen.Next(e, nil)
 		if len(set) == 0 {
@@ -182,7 +170,7 @@ func TestCampaignRediscoversF1Livelock(t *testing.T) {
 	}
 	e := newTypedEngine(graph.MustCycle(v.N), core.NewFiveNodes(v.IDs), sim.ModeSimultaneous, v.Crashes)
 	res := playSteps(sim.InstanceOf(e), steps)
-	if err := check.ActivationBound(res, Bound("five", v.N)); err == nil {
+	if err := check.ActivationBound(res, registeredBound(t, "five", v.N)); err == nil {
 		t.Fatal("shrunk witness does not reproduce the bound breach")
 	}
 

@@ -17,9 +17,21 @@ import (
 	"asynccycle/internal/check"
 	"asynccycle/internal/core"
 	"asynccycle/internal/graph"
+	"asynccycle/internal/protocol"
 	"asynccycle/internal/schedule"
 	"asynccycle/internal/sim"
 )
+
+// registeredBound is alg's wait-freedom bound on n processes, as the
+// registry's descriptor states it.
+func registeredBound(t *testing.T, alg string, n int) int {
+	t.Helper()
+	d, err := protocol.Lookup(alg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d.Bound(n)
+}
 
 // newTypedEngine is the typed engine constructor the production code used
 // before the registry migration; the orbit tests still drive the five
@@ -83,7 +95,7 @@ func TestF1WitnessOrbitClosure(t *testing.T) {
 		t.Fatalf("F1 witness setup: err = %v, want ErrStepLimit", err)
 	}
 	steps := rec.Steps()
-	bound := Bound("five", n)
+	bound := registeredBound(t, "five", n)
 	if err := check.ActivationBound(e.Result(), bound); err == nil {
 		t.Fatal("recorded F1 witness does not breach the bound")
 	}
@@ -116,7 +128,7 @@ func TestCampaignWitnessOrbitClosure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bound := Bound("five", v.N)
+		bound := registeredBound(t, "five", v.N)
 		for pi, p := range graph.CycleAutomorphisms(v.N) {
 			pxs, psteps, pcrashes := permuteWitness(v.IDs, steps, v.Crashes, p)
 			pe := newTypedEngine(graph.MustCycle(v.N), core.NewFiveNodes(pxs), sim.ModeSimultaneous, pcrashes)

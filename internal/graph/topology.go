@@ -42,12 +42,6 @@ type Builder struct {
 // registered family or carrying malformed parameters.
 var ErrUnknownTopology = errors.New("graph: unknown topology")
 
-// Topologies lists the accepted spec forms for help text, in the order
-// ParseTopology recognizes them.
-func Topologies() []string {
-	return []string{"cycle", "path", "complete", "torus", "random:Δ[:seed]", "<base>+shuffled:seed"}
-}
-
 // ParseTopology resolves a -topology spec into a Builder. The grammar is
 //
 //	""| "cycle" | "path" | "complete" | "torus" | "random:Δ[:seed]"

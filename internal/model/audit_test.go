@@ -38,7 +38,7 @@ func TestSparePoisoningIsHarmless(t *testing.T) {
 	junkIDs := []int{7, 3, 9, 1}
 	for _, singletons := range []bool{true, false} {
 		run := func(poison bool) Report {
-			x := newExplorer[core.FiveVal](Options{SingletonsOnly: singletons})
+			x := newExplorer[*sim.Engine[core.FiveVal], sim.Undo[core.FiveVal]](Options{SingletonsOnly: singletons})
 			var junk *sim.Engine[core.FiveVal]
 			scribbles := 0
 			if poison {
@@ -132,7 +132,7 @@ func TestCrashScheduleEquivalence(t *testing.T) {
 	}
 
 	opt := Options{SingletonsOnly: true}
-	x := newExplorer[core.FiveVal](opt)
+	x := newExplorer[*sim.Engine[core.FiveVal], sim.Undo[core.FiveVal]](opt)
 	keys := recordKeys(x, nil)
 	x.dfs(mkRoot(), 0)
 	if x.report.Truncated {

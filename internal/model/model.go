@@ -247,9 +247,30 @@ func (r Report) String() string {
 // read from it (a View's slices, a node), past its return.
 type Invariant[V any] func(e *sim.Engine[V]) error
 
-type explorer[V any] struct {
+// Engine is what the serial DFS needs of the configuration it explores: E
+// is the engine's own pointer type and U the record of one step that
+// StepUndo fills and Undo takes back, last in, first out. The state-model
+// *sim.Engine[V] with sim.Undo[V] is one; the DECOUPLED engine is another.
+type Engine[E, U any] interface {
+	// CloneInto deep-copies the engine into dst (nil allocates) and
+	// returns dst.
+	CloneInto(dst E) E
+	// FingerprintHash128 is the configuration's key in every state table.
+	// It may use engine-owned scratch: never key a shared engine from
+	// concurrent workers.
+	FingerprintHash128() (uint64, uint64)
+	AllDone() bool
+	// AppendWorking appends the processes still eligible for activation.
+	AppendWorking(buf []int) []int
+	// StepUndo activates the given processes, recording in u what Undo(u)
+	// needs to restore the configuration exactly.
+	StepUndo(active []int, u *U) []int
+	Undo(u *U)
+}
+
+type explorer[E Engine[E, U], U any] struct {
 	opt       Options
-	inv       Invariant[V]
+	inv       func(E) error
 	visited   ooc.Table[struct{}]
 	onStack   ooc.Table[struct{}]
 	path      [][]int   // activation sets from the root to the current state
@@ -258,8 +279,8 @@ type explorer[V any] struct {
 	interrupt bool            // context/deadline tripped: unwind without exploring
 	ck        *runctl.Checker // nil when un-budgeted (zero polling cost)
 	met       *metrics.Run    // nil when observability is off
-	eng       *sim.Engine[V]  // explore's copy of the root, stepped and undone in place
-	exp       expansions[V]   // per-depth working sets, activation sets and undo records
+	eng       E               // explore's copy of the root, stepped and undone in place
+	exp       expansions[U]   // per-depth working sets, activation sets and undo records
 
 	// spill, when non-nil, replaces the in-RAM visited table with the
 	// out-of-core fingerprint set (Options.SpillDir); spillDir is the
@@ -269,8 +290,8 @@ type explorer[V any] struct {
 	spillDir string
 }
 
-func newExplorer[V any](opt Options) *explorer[V] {
-	return &explorer[V]{
+func newExplorer[E Engine[E, U], U any](opt Options) *explorer[E, U] {
+	return &explorer[E, U]{
 		opt: opt.withDefaults(),
 		ck:  runctl.NewChecker(opt.Context, opt.Budget.Timeout),
 		met: opt.Metrics,
@@ -280,7 +301,7 @@ func newExplorer[V any](opt Options) *explorer[V] {
 // key is the configuration's identity in every state table: its 128-bit
 // fingerprint. The hash uses engine-owned scratch: never key a shared
 // engine from concurrent workers.
-func key[V any](e *sim.Engine[V]) ooc.Key {
+func key[E interface{ FingerprintHash128() (uint64, uint64) }](e E) ooc.Key {
 	h1, h2 := e.FingerprintHash128()
 	return ooc.Key{H1: h1, H2: h2}
 }
@@ -288,7 +309,7 @@ func key[V any](e *sim.Engine[V]) ooc.Key {
 // visitedSize is the figure the VisitedSize gauge publishes for the state
 // just inserted: the spilled set's cardinality when out of core, the
 // in-RAM table size otherwise. Called once per visited insertion.
-func (x *explorer[V]) visitedSize() int64 {
+func (x *explorer[E, U]) visitedSize() int64 {
 	if x.spill != nil {
 		return x.spill.Len()
 	}
@@ -306,17 +327,23 @@ func copySteps(steps [][]int) [][]int {
 
 // Explore exhaustively runs every schedule of the given initial engine
 // within the option bounds, checking inv (which may be nil) at every
-// reachable configuration, including the initial one.
+// reachable configuration, including the initial one. inv obeys
+// Invariant's rules whatever the engine.
 //
 // When opt.Context is cancelled or a Budget axis trips, Explore stops
 // promptly and returns a partial Report (Partial true, StopReason set)
 // whose counts cover exactly the states visited so far — always a
 // prefix-consistent subset of the full exploration.
-func Explore[V any](root *sim.Engine[V], opt Options, inv Invariant[V]) Report {
+//
+// For models whose configuration includes a monotone global clock (the
+// DECOUPLED tick), the reachable graph is infinite and acyclic: bound the
+// search with Options.MaxDepth and expect Truncated reports — verdicts
+// then cover every schedule of at most MaxDepth steps.
+func Explore[E Engine[E, U], U any](root E, opt Options, inv func(E) error) Report {
 	opt = opt.withDefaults()
 	opt, cancel := opt.withTimeout()
 	defer cancel()
-	x := newExplorer[V](opt)
+	x := newExplorer[E, U](opt)
 	x.inv = inv
 	return x.explore(root)
 }
@@ -325,7 +352,7 @@ func Explore[V any](root *sim.Engine[V], opt Options, inv Invariant[V]) Report {
 // It steps a private copy of root, never root itself, and starts from
 // empty tables, so one explorer can run many roots in turn (a serial
 // sweep does) without reallocating its tables, engine or undo records.
-func (x *explorer[V]) explore(root *sim.Engine[V]) Report {
+func (x *explorer[E, U]) explore(root E) Report {
 	x.visited.Reset()
 	x.onStack.Reset()
 	x.report, x.interrupt = Report{}, false
@@ -364,7 +391,7 @@ func (x *explorer[V]) explore(root *sim.Engine[V]) Report {
 // dfs explores e's configuration and, in place, everything reachable
 // from it: each child is e after StepUndo, and e is restored by Undo
 // before the next sibling, so dfs returns with e unchanged.
-func (x *explorer[V]) dfs(e *sim.Engine[V], depth int) {
+func (x *explorer[E, U]) dfs(e E, depth int) {
 	if x.interrupt {
 		return
 	}
@@ -498,8 +525,8 @@ type worst[V any] struct {
 	memo      ooc.Table[[]int]
 	onSt      ooc.Table[struct{}]
 	report    Report
-	zero      []int         // shared all-zeros vector; callers must not mutate results
-	exp       expansions[V] // per-depth working sets, activation sets and undo records
+	zero      []int                   // shared all-zeros vector; callers must not mutate results
+	exp       expansions[sim.Undo[V]] // per-depth working sets, activation sets and undo records
 	interrupt bool
 	ck        *runctl.Checker
 	met       *metrics.Run
@@ -613,10 +640,10 @@ func subsets(working []int, singletonsOnly bool) [][]int {
 // being explored. The sets stay valid while the state's children are
 // explored (the path refers to them); the next state expanded at the same
 // depth overwrites them.
-type expansion[V any] struct {
+type expansion[U any] struct {
 	setBuf
-	performed []int       // WorstActivations' copy of the child's performed set
-	undo      sim.Undo[V] // takes the child's step back
+	performed []int // WorstActivations' copy of the child's performed set
+	undo      U     // takes the child's step back
 }
 
 // setBuf holds a working set and the activation sets over it.
@@ -663,11 +690,11 @@ func (b *setBuf) activationSets(singletonsOnly bool) [][]int {
 }
 
 // expansions holds one expansion per DFS depth, allocated on first use.
-type expansions[V any] []*expansion[V]
+type expansions[U any] []*expansion[U]
 
-func (s *expansions[V]) at(depth int) *expansion[V] {
+func (s *expansions[U]) at(depth int) *expansion[U] {
 	for len(*s) <= depth {
-		*s = append(*s, new(expansion[V]))
+		*s = append(*s, new(expansion[U]))
 	}
 	return (*s)[depth]
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"asynccycle/internal/ooc"
+	"asynccycle/internal/runctl"
 	"asynccycle/internal/sim"
 )
 
@@ -22,7 +23,7 @@ import (
 // holds) and the exploration report.
 func ObstructionFree[V any](root *sim.Engine[V], opt Options, soloBound int) (string, Report) {
 	opt = opt.withDefaults()
-	x := newExplorer[V](opt)
+	x := newExplorer[*sim.Engine[V], sim.Undo[V]](opt)
 	counterexample := ""
 	x.inv = func(e *sim.Engine[V]) error {
 		if counterexample != "" {
@@ -62,6 +63,12 @@ type stateGraph struct {
 	terminal  []bool
 	truncated bool
 
+	// ck polls Options.Context and Budget.Timeout once per state about to
+	// be expanded; stop is the reason it tripped, after which no state is
+	// expanded.
+	ck   *runctl.Checker
+	stop runctl.StopReason
+
 	// Legality analysis (stabilization checking only; empty otherwise):
 	// legal[s] records whether state s is legitimate, illegalWhy[s] the
 	// first violated legitimacy property's message ("" when legal).
@@ -86,15 +93,7 @@ type edge struct {
 // starvation-free on this instance), or a description of the offending
 // component, plus the exploration report.
 func FairlyTerminates[V any](root *sim.Engine[V], opt Options) (string, Report) {
-	opt = opt.withDefaults()
-	g := &stateGraph{}
-	rep := Report{}
-	buildStateGraph(root, opt, g, &rep, 0, nil)
-	rep.States = len(g.edges)
-	rep.HashCollisions = g.ids.Collisions()
-	if g.truncated {
-		rep.Truncated = true
-	}
+	g, rep := newStateGraph(root, opt, nil)
 	for _, scc := range tarjanSCC(g) {
 		if desc := fairLivelock(g, scc); desc != "" {
 			rep.CycleFound = true
@@ -102,6 +101,24 @@ func FairlyTerminates[V any](root *sim.Engine[V], opt Options) (string, Report) 
 		}
 	}
 	return "", rep
+}
+
+// newStateGraph builds the reachable configuration graph from root (see
+// buildStateGraph) and the report of that exploration. When the context or
+// the timeout trips, the graph holds the states interned so far and the
+// report is Truncated and Partial with the StopReason.
+func newStateGraph[V any](root *sim.Engine[V], opt Options, legal func(*sim.Engine[V]) error) (*stateGraph, Report) {
+	opt = opt.withDefaults()
+	g := &stateGraph{ck: runctl.NewChecker(opt.Context, opt.Budget.Timeout)}
+	rep := Report{}
+	buildStateGraph(root, opt, g, &rep, 0, legal)
+	rep.States = len(g.edges)
+	rep.HashCollisions = g.ids.Collisions()
+	rep.Truncated = g.truncated
+	if g.stop != runctl.StopNone {
+		rep.noteStop(g.stop)
+	}
+	return g, rep
 }
 
 // buildStateGraph interns e's configuration and recursively explores its
@@ -134,6 +151,13 @@ func buildStateGraph[V any](e *sim.Engine[V], opt Options, g *stateGraph, rep *R
 	}
 	if e.AllDone() {
 		rep.Terminal++
+		return id
+	}
+	if g.stop == runctl.StopNone {
+		g.stop, _ = g.ck.Check()
+	}
+	if g.stop != runctl.StopNone {
+		g.truncated = true
 		return id
 	}
 	if depth >= opt.MaxDepth || len(g.edges) >= opt.MaxStates {

@@ -34,7 +34,7 @@ func c5Pair(t *testing.T) *sim.Engine[core.PairVal] {
 // recordKeys makes x's invariant record the key of every state it is
 // called on — the DFS calls it once per newly visited state — and then run
 // inv (which may be nil). It returns the set the keys go into.
-func recordKeys[V any](x *explorer[V], inv Invariant[V]) map[ooc.Key]struct{} {
+func recordKeys[V any](x *explorer[*sim.Engine[V], sim.Undo[V]], inv Invariant[V]) map[ooc.Key]struct{} {
 	keys := make(map[ooc.Key]struct{})
 	x.inv = func(e *sim.Engine[V]) error {
 		keys[key(e)] = struct{}{}
@@ -49,7 +49,7 @@ func recordKeys[V any](x *explorer[V], inv Invariant[V]) map[ooc.Key]struct{} {
 // exploreKeys runs the serial DFS, returning the report and the exact set
 // of visited state keys.
 func exploreKeys(root *sim.Engine[core.PairVal], opt Options) (Report, map[ooc.Key]struct{}) {
-	x := newExplorer[core.PairVal](opt)
+	x := newExplorer[*sim.Engine[core.PairVal], sim.Undo[core.PairVal]](opt)
 	keys := recordKeys(x, nil)
 	x.dfs(root, 0)
 	return x.report, keys
@@ -73,7 +73,7 @@ func TestCancelledExploreIsPrefixConsistent(t *testing.T) {
 	}
 	popt := opt
 	popt.Context = ctx
-	x := newExplorer[core.PairVal](popt)
+	x := newExplorer[*sim.Engine[core.PairVal], sim.Undo[core.PairVal]](popt)
 	keys := recordKeys(x, func(e *sim.Engine[core.PairVal]) error {
 		if x.report.States == cut {
 			cancel()
@@ -137,5 +137,27 @@ func TestWorstActivationsTimeout(t *testing.T) {
 	}
 	if !rep.Partial || rep.StopReason != runctl.StopTimeout {
 		t.Fatalf("want partial timeout report, got %s", rep)
+	}
+}
+
+// The state-graph analyzers poll the run budget as the explorer does:
+// under a context cancelled before they start, each stops expanding
+// within checkEvery states and labels its report.
+func TestStateGraphAnalyzersCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opt := Options{SingletonsOnly: true}
+	_, full := FairlyTerminates(c5Pair(t), opt)
+	opt.Context = ctx
+	_, fair := FairlyTerminates(c5Pair(t), opt)
+	legal := func(*sim.Engine[core.PairVal]) error { return nil }
+	stab := CheckStabilization(c5Pair(t), opt, legal).Explore
+	for name, rep := range map[string]Report{"FairlyTerminates": fair, "CheckStabilization": stab} {
+		if !rep.Partial || !rep.Truncated || rep.StopReason != runctl.StopCancelled {
+			t.Errorf("%s under a cancelled context: %s, want truncated [PARTIAL: cancelled]", name, rep)
+		}
+		if rep.States >= full.States {
+			t.Errorf("%s under a cancelled context interned %d states, the whole graph has %d", name, rep.States, full.States)
+		}
 	}
 }

@@ -64,18 +64,12 @@ func (r StabReport) String() string {
 // CheckStabilization explores the reachable configuration graph from root
 // and checks closure + convergence against the legitimacy predicate
 // (nil error = legitimate). The whole state graph stays in RAM, and of
-// opt only the depth, state and violation bounds apply: callers refuse
-// SpillDir, and a sweep's Symmetry, rather than pass them.
+// opt only the depth, state and violation bounds, the Context and the
+// Budget's Timeout apply: callers refuse SpillDir, and a sweep's
+// Symmetry, rather than pass them.
 func CheckStabilization[V any](root *sim.Engine[V], opt Options, legal func(e *sim.Engine[V]) error) StabReport {
 	opt = opt.withDefaults()
-	g := &stateGraph{}
-	rep := Report{}
-	buildStateGraph(root, opt, g, &rep, 0, legal)
-	rep.States = len(g.edges)
-	rep.HashCollisions = g.ids.Collisions()
-	if g.truncated {
-		rep.Truncated = true
-	}
+	g, rep := newStateGraph(root, opt, legal)
 
 	out := StabReport{}
 	for _, ok := range g.legal {

@@ -236,7 +236,7 @@ func sweep[V any](n int, mk func(xs []int) (*sim.Engine[V], error), opt Options,
 	if opt.Metrics != nil {
 		ws = opt.Metrics.SetWorkers(workers)
 	}
-	explorers := make([]*explorer[V], workers)
+	explorers := make([]*explorer[*sim.Engine[V], sim.Undo[V]], workers)
 	work := func(w, i int) {
 		o := &orbits[i]
 		e, err := mk(o.xs)
@@ -249,7 +249,7 @@ func sweep[V any](n int, mk func(xs []int) (*sim.Engine[V], error), opt Options,
 			return
 		}
 		if explorers[w] == nil {
-			explorers[w] = newExplorer[V](opt)
+			explorers[w] = newExplorer[*sim.Engine[V], sim.Undo[V]](opt)
 			explorers[w].inv = inv
 		}
 		o.run = explorers[w].explore(e)

@@ -4,8 +4,7 @@
 // continue instead of restarting: the configuration it was started with
 // (so a resume with different flags is refused rather than silently
 // merged), the cursor — the last identifier assignment whose exploration
-// ran to completion — the per-orbit weighted counts of every completed
-// assignment orbit, and the cumulative totals. The sweep enumerates
+// ran to completion — and the cumulative totals. The sweep enumerates
 // assignments in lexicographic order with no randomness, so "skip every
 // assignment ≤ cursor, fold the recorded totals, continue" reproduces the
 // uninterrupted run bit for bit.
@@ -64,20 +63,6 @@ type SweepMeta struct {
 	ShardCount int    `json:"shard_count"`
 }
 
-// OrbitRecord is the outcome of one completed assignment-orbit
-// exploration: the representative, its exact D_n orbit size, and the
-// per-run (unweighted) counts.
-type OrbitRecord struct {
-	Assignment     []int `json:"assignment"`
-	Weight         int   `json:"weight"`
-	States         int   `json:"states"`
-	Terminal       int   `json:"terminal"`
-	Cycle          bool  `json:"cycle,omitempty"`
-	Violations     int   `json:"violations,omitempty"`
-	Truncated      bool  `json:"truncated,omitempty"`
-	HashCollisions int   `json:"hash_collisions,omitempty"`
-}
-
 // Totals mirrors the cumulative weighted fields of model.SweepReport over
 // the completed orbits (ooc cannot import internal/model — the model
 // package is the importer).
@@ -92,13 +77,14 @@ type Totals struct {
 	AllOk          bool  `json:"all_ok"`
 }
 
-// Checkpoint is the full resumable-sweep state.
+// Checkpoint is the full resumable-sweep state. Checkpoints written before
+// the per-orbit ledger was dropped carry an "orbits" array as well; Load
+// ignores it.
 type Checkpoint struct {
-	Version int           `json:"version"`
-	Meta    SweepMeta     `json:"meta"`
-	Cursor  []int         `json:"cursor"` // last completed assignment (lex order)
-	Orbits  []OrbitRecord `json:"orbits"`
-	Totals  Totals        `json:"totals"`
+	Version int       `json:"version"`
+	Meta    SweepMeta `json:"meta"`
+	Cursor  []int     `json:"cursor"` // last completed assignment (lex order)
+	Totals  Totals    `json:"totals"`
 }
 
 // envelope wraps the payload with its checksum. RawMessage keeps the

@@ -19,18 +19,11 @@ func sampleCheckpoint(orbits int) *Checkpoint {
 		Totals: Totals{AllOk: true},
 	}
 	for i := 0; i < orbits; i++ {
-		rec := OrbitRecord{
-			Assignment: []int{1, 2, 3, 4, 5, 6 + i},
-			Weight:     12,
-			States:     1000 + i,
-			Terminal:   10 + i,
-		}
-		cp.Orbits = append(cp.Orbits, rec)
-		cp.Cursor = rec.Assignment
+		cp.Cursor = []int{1, 2, 3, 4, 5, 6 + i}
 		cp.Totals.Runs++
-		cp.Totals.Assignments += rec.Weight
-		cp.Totals.States += int64(rec.Weight) * int64(rec.States)
-		cp.Totals.Terminal += int64(rec.Weight) * int64(rec.Terminal)
+		cp.Totals.Assignments += 12
+		cp.Totals.States += 12 * int64(1000+i)
+		cp.Totals.Terminal += 12 * int64(10+i)
 	}
 	return cp
 }

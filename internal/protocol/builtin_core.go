@@ -59,7 +59,6 @@ func registerCore() {
 			Bound:        func(n int) int { return 3*n/2 + 4 },
 			Topology:     cycleTopology,
 			ValidateIDs:  cycleIDs,
-			FormatOutput: func(c int) string { a, b := core.DecodePair(c); return fmt.Sprintf("(%d,%d)", a, b) },
 			Contract:     sixContract,
 			BigKernel:    bigsim.NewSixKernel,
 		},

@@ -13,49 +13,19 @@ import (
 )
 
 // decoupledInstance adapts the DECOUPLED engine to the type-erased
-// sim.Instance surface, making the communication-layer model checkable and
-// fuzzable through the same registry entry points as the state model.
+// sim.Instance surface, making the communication-layer model fuzzable
+// through the same registry entry points as the state model. It overrides
+// only the methods whose sim.Instance signatures differ from the engine's.
 type decoupledInstance struct {
-	e *decoupled.Engine[decoupled.ThreeColorVal]
+	*decoupled.Engine[decoupled.ThreeColorVal]
 }
 
-func (x *decoupledInstance) N() int                { return x.e.N() }
-func (x *decoupledInstance) Time() int             { return x.e.Time() }
-func (x *decoupledInstance) Working(i int) bool    { return x.e.Working(i) }
-func (x *decoupledInstance) Activations(i int) int { return x.e.Activations(i) }
-func (x *decoupledInstance) AppendWorking(buf []int) []int {
-	return x.e.AppendWorking(buf)
-}
-func (x *decoupledInstance) AllDone() bool           { return x.e.AllDone() }
-func (x *decoupledInstance) AllSettled() bool        { return x.e.AllSettled() }
-func (x *decoupledInstance) Step(active []int) []int { return x.e.Tick(active) }
-func (x *decoupledInstance) Result() sim.Result      { return convDecoupled(x.e.Snapshot()) }
-func (x *decoupledInstance) Fingerprint() string     { return x.e.Fingerprint() }
-
-func (x *decoupledInstance) FingerprintHash128() (uint64, uint64) {
-	var h sim.FPHasher
-	h.Reset()
-	h.HashString(x.e.Fingerprint())
-	return h.Sum128()
-}
-
-func (x *decoupledInstance) Clone() sim.Instance { return &decoupledInstance{e: x.e.Clone()} }
+func (x *decoupledInstance) Step(active []int) []int { return x.Tick(active) }
+func (x *decoupledInstance) Clone() sim.Instance     { return &decoupledInstance{x.Engine.Clone()} }
 
 // CloneInto falls back to Clone: the DECOUPLED engine's buffers vary in
 // length per configuration, so storage reuse buys nothing measurable.
 func (x *decoupledInstance) CloneInto(dst sim.Instance) sim.Instance { return x.Clone() }
-
-// convDecoupled maps a DECOUPLED result onto the state-model result shape;
-// Steps counts communication-layer ticks.
-func convDecoupled(r decoupled.Result) sim.Result {
-	return sim.Result{
-		Outputs:     r.Outputs,
-		Done:        r.Done,
-		Crashed:     r.Crashed,
-		Activations: r.Activations,
-		Steps:       r.CommRounds,
-	}
-}
 
 // decoupledThreeContract is the ThreeColor specification: a proper
 // coloring of the terminated subgraph with only 3 colors — beating the
@@ -105,7 +75,7 @@ func registerDecoupled() {
 			if err != nil {
 				return nil, err
 			}
-			return &decoupledInstance{e: e}, nil
+			return &decoupledInstance{e}, nil
 		},
 
 		// Run drives the tick loop. The network clock is part of the
@@ -127,27 +97,25 @@ func registerDecoupled() {
 				b := o.Budget
 				b.MaxSteps = runctl.Min(o.MaxSteps, b.MaxSteps)
 				res, reason := e.RunBudget(o.Context, sched, b)
-				return convDecoupled(res), reason, nil
+				return res, reason, nil
 			}
 			res, err := e.Run(sched, o.MaxSteps)
-			return convDecoupled(res), runctl.StopNone, err
+			return res, runctl.StopNone, err
 		},
 
 		// Check explores the tick-transition system. The clock makes the
 		// reachable graph infinite and acyclic, so callers should bound
 		// Options.MaxDepth and read Truncated reports as verdicts over all
-		// schedules of at most MaxDepth ticks. The visited set stays in RAM.
+		// schedules of at most MaxDepth ticks.
 		Check: func(xs []int, mode sim.Mode, opt model.Options) (model.Report, error) {
-			if opt.SpillDir != "" {
-				return model.Report{}, fmt.Errorf("decoupled-three check: spilling (SpillDir) is not supported")
-			}
 			e, g, err := mk(xs, nil)
 			if err != nil {
 				return model.Report{}, err
 			}
-			inst := &decoupledInstance{e: e}
-			inv := func(i sim.Instance) error { return decoupledThreeContract.Safety(g, i.Result()) }
-			return model.ExploreInstance(inst, opt, inv), nil
+			inv := func(e *decoupled.Engine[decoupled.ThreeColorVal]) error {
+				return decoupledThreeContract.Safety(g, e.Result())
+			}
+			return model.Explore(e, opt, inv), nil
 		},
 	})
 }

@@ -133,8 +133,6 @@ type Descriptor struct {
 	// ValidateIDs checks the protocol's input precondition on the
 	// identifier vector (nil = only distinctness-free defaults apply).
 	ValidateIDs func(xs []int) error
-	// FormatOutput renders one output value for display (nil = decimal).
-	FormatOutput func(c int) string
 
 	// Contract is the protocol's correctness contract, the one property
 	// surface every checker consumes: the model checker evaluates
@@ -143,9 +141,9 @@ type Descriptor struct {
 	// property (see Verdicts). Required.
 	Contract contract.Contract
 
-	// NewInstance constructs a fresh type-erased instance for exhaustive
-	// exploration and schedule fuzzing. Nil means the protocol cannot be
-	// branched (no deep-copyable configuration).
+	// NewInstance constructs a fresh type-erased instance for schedule
+	// fuzzing. Nil means the protocol cannot be branched (no deep-copyable
+	// configuration).
 	NewInstance func(xs []int, mode sim.Mode, crashes map[int]int) (sim.Instance, error)
 	// Run executes one deterministic schedule to completion.
 	Run func(xs []int, o RunOptions) (sim.Result, runctl.StopReason, error)

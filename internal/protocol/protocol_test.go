@@ -131,6 +131,14 @@ func TestBounds(t *testing.T) {
 			t.Errorf("%s.Bound(%d) = %d, want %d", c.alg, c.n, got, c.want)
 		}
 	}
+	// fast's O(log* n) budget grows with n, however slowly.
+	fast, err := Lookup("fast")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if small, big := fast.Bound(1024), fast.Bound(1<<20); small > big {
+		t.Errorf("fast bound not monotone: Bound(1024) = %d > Bound(2^20) = %d", small, big)
+	}
 	for _, alg := range []string{"mis-greedy", "ssb-greedy", "ssb-impatient"} {
 		d, err := Lookup(alg)
 		if err != nil {
@@ -205,6 +213,33 @@ func TestDecoupledCheckDepthBounded(t *testing.T) {
 	}
 	if rep.States != 3899 {
 		t.Errorf("C3 depth-6 subset exploration states = %d, want 3899 (determinism pin)", rep.States)
+	}
+}
+
+// TestDecoupledCheckSpillMatchesInRAM: decoupled-three's Check runs on the
+// shared DFS, so a visited set spilled at 5,000 resident keys reports
+// exactly what the in-RAM one does on C4's 111,500 states.
+func TestDecoupledCheckSpillMatchesInRAM(t *testing.T) {
+	d, err := Lookup("decoupled-three")
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := []int{0, 1, 2, 3}
+	ram, err := d.Check(xs, sim.ModeInterleaved, model.Options{MaxDepth: d.DefaultCheckDepth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spilled, err := d.Check(xs, sim.ModeInterleaved, model.Options{
+		MaxDepth: d.DefaultCheckDepth, SpillDir: t.TempDir(), SpillMemLimit: 5000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ram.States != 111500 || ram.Terminal != 747 {
+		t.Errorf("in-RAM C4 check: %s, want states=111500 terminal=747", ram)
+	}
+	if !reflect.DeepEqual(spilled, ram) {
+		t.Errorf("spilled check drifted:\nspilled %+v\nin RAM  %+v", spilled, ram)
 	}
 }
 

@@ -54,10 +54,6 @@ type Options struct {
 	MaxBudget runctl.Budget
 	// MaxN caps run-job instance sizes (default 2_000_000).
 	MaxN int
-	// Metrics, when non-nil, receives server-wide counters (jobs as
-	// schedules, shed as hash collisions are NOT conflated — the server
-	// keeps its own counters; this Run only aggregates execution totals).
-	Metrics *metrics.Run
 }
 
 func (o Options) withDefaults() Options {

@@ -1,9 +1,10 @@
 package sim
 
 // Instance is a type-erased handle on one running protocol instance: the
-// minimal engine surface the model checker, the schedule fuzzer, and the
-// generic run loops need, independent of the engine's register value type
-// (or, for non-register models like DECOUPLED, of the engine itself).
+// minimal engine surface the schedule fuzzer needs, independent of the
+// engine's register value type (or, for non-register models like
+// DECOUPLED, of the engine itself). The model checker does not use it: it
+// steps and undoes the typed engines in place.
 //
 // An Instance satisfies schedule.State, so any Scheduler can drive it. The
 // fingerprint contract matches Engine's: two instances with equal
@@ -31,9 +32,6 @@ type Instance interface {
 	Step(active []int) []int
 	// Result snapshots the current execution state.
 	Result() Result
-	// Fingerprint returns the canonical string encoding of the
-	// configuration.
-	Fingerprint() string
 	// FingerprintHash128 returns the two-lane compact fingerprint.
 	FingerprintHash128() (uint64, uint64)
 	// Clone deep-copies the instance for execution branching.
@@ -61,7 +59,6 @@ func (x *engineInstance[V]) AllDone() bool                        { return x.e.A
 func (x *engineInstance[V]) AllSettled() bool                     { return x.e.AllSettled() }
 func (x *engineInstance[V]) Step(active []int) []int              { return x.e.Step(active) }
 func (x *engineInstance[V]) Result() Result                       { return x.e.Result() }
-func (x *engineInstance[V]) Fingerprint() string                  { return x.e.Fingerprint() }
 func (x *engineInstance[V]) FingerprintHash128() (uint64, uint64) { return x.e.FingerprintHash128() }
 
 func (x *engineInstance[V]) Clone() Instance {
@@ -74,13 +71,4 @@ func (x *engineInstance[V]) CloneInto(dst Instance) Instance {
 		return d
 	}
 	return x.Clone()
-}
-
-// Unwrap exposes the typed engine behind an Instance produced by
-// InstanceOf, or nil if the instance wraps a different engine type.
-func Unwrap[V any](inst Instance) *Engine[V] {
-	if x, ok := inst.(*engineInstance[V]); ok {
-		return x.e
-	}
-	return nil
 }
