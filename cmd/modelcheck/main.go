@@ -69,7 +69,6 @@ import (
 	"asynccycle/internal/ooc"
 	"asynccycle/internal/prof"
 	"asynccycle/internal/protocol"
-	"asynccycle/internal/runctl"
 	"asynccycle/internal/schedule"
 	"asynccycle/internal/sim"
 	"asynccycle/internal/stats"
@@ -206,13 +205,17 @@ func runContext(ctx context.Context, args []string, w, ew io.Writer) error {
 	// — for native-semantics protocols (empty Modes, e.g. the DECOUPLED
 	// tick model, where simultaneity is observable) subsets stay.
 	single := mode == sim.ModeInterleaved && len(d.Modes) > 0
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
 	opt := model.Options{
 		SingletonsOnly: single,
 		MaxStates:      *maxStates,
 		Workers:        *workers,
 		Symmetry:       symmetry,
 		Context:        ctx,
-		Budget:         runctl.Budget{Timeout: *timeout},
 		Metrics:        met,
 		SpillDir:       *spillDir,
 		SpillMemLimit:  *memLimit,

@@ -223,3 +223,62 @@ func TestThreeColorQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFingerprintHashMatchesFingerprint explores decoupled-three on C3
+// under every activation set to depth 6 (the tick is part of the state,
+// so level d holds exactly the states reachable in d ticks), from a plain
+// start and from one with crash limits armed, and checks that the
+// checker's word-wise key and the exact string Fingerprint split the
+// reachable states into the same classes.
+func TestFingerprintHashMatchesFingerprint(t *testing.T) {
+	type key struct{ a, b uint64 }
+	for _, crash := range []bool{false, true} {
+		root, err := decoupled.NewEngine(graph.MustCycle(3), decoupled.NewThreeColorNodes([]int{1, 2, 3}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if crash {
+			root.CrashAfter(1, 2)
+		}
+		byFP := map[string]key{}
+		byKey := map[key]string{}
+		level := []*decoupled.Engine[decoupled.ThreeColorVal]{root}
+		for depth := 0; len(level) > 0; depth++ {
+			var next []*decoupled.Engine[decoupled.ThreeColorVal]
+			for _, e := range level {
+				fp := e.Fingerprint()
+				a, b := e.FingerprintHash128()
+				k := key{a, b}
+				if prev, seen := byFP[fp]; seen {
+					if prev != k {
+						t.Fatalf("crash=%t: one fingerprint, two keys:\n%s", crash, fp)
+					}
+					continue
+				}
+				if prev, seen := byKey[k]; seen {
+					t.Fatalf("crash=%t: one key, two fingerprints:\n%s\n%s", crash, prev, fp)
+				}
+				byFP[fp], byKey[k] = k, fp
+				if depth == 6 || e.AllDone() {
+					continue
+				}
+				working := e.AppendWorking(nil)
+				for mask := 1; mask < 1<<len(working); mask++ {
+					var active []int
+					for i, p := range working {
+						if mask&(1<<i) != 0 {
+							active = append(active, p)
+						}
+					}
+					c := e.Clone()
+					c.Tick(active)
+					next = append(next, c)
+				}
+			}
+			level = next
+		}
+		if want := map[bool]int{false: 3899, true: 3038}[crash]; len(byFP) != want {
+			t.Errorf("crash=%t: %d states, want %d", crash, len(byFP), want)
+		}
+	}
+}

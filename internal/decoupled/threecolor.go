@@ -1,11 +1,20 @@
 package decoupled
 
+import "asynccycle/internal/sim"
+
 // ThreeColorVal is the value a ThreeColor process emits: its wake round,
 // identifier, and current color (Undecided until it commits).
 type ThreeColorVal struct {
 	Wake  int
 	ID    int
 	Color int // Undecided, or a color in {0, 1, 2}
+}
+
+// HashFingerprint implements sim.Hashable.
+func (v *ThreeColorVal) HashFingerprint(h *sim.FPHasher) {
+	h.HashInt(v.Wake)
+	h.HashInt(v.ID)
+	h.HashInt(v.Color)
 }
 
 // Undecided marks a not-yet-committed color.
@@ -110,6 +119,21 @@ func (t *ThreeColor) Clone() Proc[ThreeColorVal] {
 	c := *t
 	c.seen = append([]neighborInfo(nil), t.seen...)
 	return &c
+}
+
+// HashFingerprint implements sim.Hashable: every field, as Fingerprint
+// prints them.
+func (t *ThreeColor) HashFingerprint(h *sim.FPHasher) {
+	h.HashInt(t.id)
+	h.HashInt(t.wake)
+	h.HashInt(len(t.seen))
+	for _, s := range t.seen {
+		h.HashBool(s.known)
+		h.HashInt(s.wake)
+		h.HashInt(s.id)
+		h.HashInt(s.color)
+	}
+	h.HashInt(t.color)
 }
 
 // hasPriority reports whether the neighbor outranks this process: it woke

@@ -2,8 +2,9 @@ package model
 
 // Correctness audit of the checker hot paths: in-place expansion (the
 // spare nodes of idle undo records must not leak into any explored
-// state) and the crash wrappers (workingSet/subsets must expose exactly
-// the schedules the simulator can realize under the same crash plan).
+// state) and the crash wrappers (AppendWorking and the activation sets
+// must expose exactly the schedules the simulator can realize under the
+// same crash plan).
 
 import (
 	"fmt"
@@ -38,7 +39,7 @@ func TestSparePoisoningIsHarmless(t *testing.T) {
 	junkIDs := []int{7, 3, 9, 1}
 	for _, singletons := range []bool{true, false} {
 		run := func(poison bool) Report {
-			x := newExplorer[*sim.Engine[core.FiveVal], sim.Undo[core.FiveVal]](Options{SingletonsOnly: singletons})
+			x := newExplorer[*sim.Engine[core.FiveVal], sim.Undo[core.FiveVal], struct{}](Options{SingletonsOnly: singletons})
 			var junk *sim.Engine[core.FiveVal]
 			scribbles := 0
 			if poison {
@@ -59,7 +60,7 @@ func TestSparePoisoningIsHarmless(t *testing.T) {
 			}
 			root := fiveC(t, 4)
 			root.CrashAfter(1, 2)
-			rep := x.explore(root)
+			rep, _ := x.explore(root)
 			if poison && scribbles == 0 {
 				t.Fatal("the audit scribbled on no record")
 			}
@@ -91,7 +92,7 @@ func TestWorkingSetRespectsCrashWrappers(t *testing.T) {
 	e.Crash(1)
 	e.CrashAfter(3, 1)
 	e.Step([]int{3}) // exhausts 3's limit: it crashes after this activation
-	w := workingSet(e)
+	w := e.AppendWorking(nil)
 	want := []int{0, 2, 4}
 	if len(w) != len(want) {
 		t.Fatalf("working set %v, want %v", w, want)
@@ -101,7 +102,8 @@ func TestWorkingSetRespectsCrashWrappers(t *testing.T) {
 			t.Fatalf("working set %v, want %v", w, want)
 		}
 	}
-	singles := subsets(w, true)
+	b := setBuf{working: w}
+	singles := b.activationSets(true)
 	if len(singles) != len(want) {
 		t.Fatalf("singleton enumeration %v over %v", singles, w)
 	}
@@ -110,7 +112,7 @@ func TestWorkingSetRespectsCrashWrappers(t *testing.T) {
 			t.Fatalf("singleton enumeration %v over %v", singles, w)
 		}
 	}
-	if all := subsets(w, false); len(all) != (1<<len(w))-1 {
+	if all := b.activationSets(false); len(all) != (1<<len(w))-1 {
 		t.Fatalf("full subset enumeration has %d sets over %d working processes", len(all), len(w))
 	}
 }
@@ -132,7 +134,7 @@ func TestCrashScheduleEquivalence(t *testing.T) {
 	}
 
 	opt := Options{SingletonsOnly: true}
-	x := newExplorer[*sim.Engine[core.FiveVal], sim.Undo[core.FiveVal]](opt)
+	x := newExplorer[*sim.Engine[core.FiveVal], sim.Undo[core.FiveVal], struct{}](opt)
 	keys := recordKeys(x, nil)
 	x.dfs(mkRoot(), 0)
 	if x.report.Truncated {

@@ -13,9 +13,10 @@
 // process) is a certificate of an infinite execution in which some process
 // takes infinitely many rounds without terminating — i.e. the algorithm is
 // not wait-free; Explore detects such cycles. Second, WorstActivations
-// computes, by memoized longest-path analysis over the acyclic
-// configuration graph, the exact supremum of per-process activation counts
-// over all schedules — the paper's running-time measure (§2.2).
+// computes, by a longest-path fold over the acyclic configuration graph,
+// the exact supremum of per-process activation counts over all schedules
+// — the paper's running-time measure (§2.2). Both, and the state-graph
+// analyses of progress.go and stabilize.go, run on one serial DFS.
 package model
 
 import (
@@ -43,8 +44,6 @@ type Options struct {
 	// reachable register interleaving up to observational equivalence on
 	// most instances; full subset exploration is the default.
 	SingletonsOnly bool
-	// MaxViolations caps recorded invariant-violation messages.
-	MaxViolations int
 	// Workers counts a sweep's orbit workers; <= 1 (the default) is
 	// serial. In a sweep (SweepExplore, SweepWorstActivations) Workers > 1
 	// explores that many orbit representatives at once, each on a
@@ -64,14 +63,10 @@ type Options struct {
 	// Context, when non-nil, cancels the exploration early: the checker
 	// stops claiming new branches (polled every few hundred states, so
 	// cancellation lands promptly) and returns the partial Report for the
-	// region explored so far, labeled with a StopReason. A nil Context
-	// leaves the hot path entirely unaffected.
+	// region explored so far, labeled with a StopReason (StopTimeout when
+	// its deadline passed). A nil Context leaves the hot path entirely
+	// unaffected.
 	Context context.Context
-	// Budget adds wall-clock and size bounds on top of the explicit
-	// MaxDepth/MaxStates options: Budget.Timeout stops the run after that
-	// much wall-clock, and Budget.MaxStates/Budget.MaxSteps tighten
-	// MaxStates/MaxDepth when smaller (the smaller positive bound wins).
-	Budget runctl.Budget
 	// Metrics, when non-nil, receives live progress: States/Terminal
 	// counters, FrontierDepth and VisitedSize gauges, HashCollisions. A
 	// sweep's orbit workers publish into the same sink: counters sum over
@@ -126,11 +121,12 @@ type SweepResume struct {
 	Totals SweepReport
 }
 
-// DefaultMaxDepth and DefaultMaxStates are generous bounds for n ≤ 5.
+// DefaultMaxDepth and DefaultMaxStates are generous bounds for n ≤ 5;
+// maxViolations caps the invariant-violation messages a report records.
 const (
-	DefaultMaxDepth      = 256
-	DefaultMaxStates     = 2_000_000
-	defaultMaxViolations = 8
+	DefaultMaxDepth  = 256
+	DefaultMaxStates = 2_000_000
+	maxViolations    = 8
 )
 
 func (o Options) withDefaults() Options {
@@ -140,31 +136,7 @@ func (o Options) withDefaults() Options {
 	if o.MaxStates <= 0 {
 		o.MaxStates = DefaultMaxStates
 	}
-	if o.MaxViolations <= 0 {
-		o.MaxViolations = defaultMaxViolations
-	}
-	// Budget bounds tighten the explicit options: smaller positive wins.
-	o.MaxDepth = runctl.Min(o.MaxDepth, o.Budget.MaxSteps)
-	o.MaxStates = runctl.Min(o.MaxStates, o.Budget.MaxStates)
 	return o
-}
-
-// withTimeout folds Budget.Timeout into Options.Context so every layer
-// (the DFS, a sweep's orbit workers, the longest-path analysis) watches a
-// single shared deadline. The returned cancel must be called to release
-// the timer.
-func (o Options) withTimeout() (Options, context.CancelFunc) {
-	if o.Budget.Timeout <= 0 {
-		return o, func() {}
-	}
-	ctx := o.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ctx, cancel := context.WithTimeout(ctx, o.Budget.Timeout)
-	o.Context = ctx
-	o.Budget.Timeout = 0
-	return o, cancel
 }
 
 // Report summarizes an exploration.
@@ -268,10 +240,15 @@ type Engine[E, U any] interface {
 	Undo(u *U)
 }
 
-type explorer[E Engine[E, U], U any] struct {
+// explorer is the serial DFS every analysis runs on. T is the value its
+// visited table keeps per state: struct{} for a safety check, the state's
+// worst-case vector (WorstActivations), or its state-graph id
+// (newStateGraph). The hooks are nil for a safety check; an analysis that
+// folds over the configuration graph sets them.
+type explorer[E Engine[E, U], U, T any] struct {
 	opt       Options
 	inv       func(E) error
-	visited   ooc.Table[struct{}]
+	visited   ooc.Table[T]
 	onStack   ooc.Table[struct{}]
 	path      [][]int   // activation sets from the root to the current state
 	pathFPs   []ooc.Key // keys of the states along the path
@@ -282,18 +259,31 @@ type explorer[E Engine[E, U], U any] struct {
 	eng       E               // explore's copy of the root, stepped and undone in place
 	exp       expansions[U]   // per-depth working sets, activation sets and undo records
 
+	// enter is called once per newly visited state, after inv, and
+	// returns the value visited keeps for it; without enter the value is
+	// T's zero. edge is called after each child of the state expanded at
+	// depth, unless a stop cut the child short, with the processes the
+	// child's step performed and the child's value (a state still on the
+	// stack gives its first-visit value). leave is called after the last
+	// child, and its result replaces the expanded state's value.
+	enter func(e E, depth int) T
+	edge  func(depth int, performed []int, child T)
+	leave func(depth int) T
+
 	// spill, when non-nil, replaces the in-RAM visited table with the
 	// out-of-core fingerprint set (Options.SpillDir); spillDir is the
 	// per-explorer scratch directory removed on teardown. onStack stays
 	// in RAM: it is bounded by the path depth, not the state space.
+	// Analyses that keep values clear SpillDir: their values live in
+	// visited.
 	spill    *ooc.Set
 	spillDir string
 }
 
-func newExplorer[E Engine[E, U], U any](opt Options) *explorer[E, U] {
-	return &explorer[E, U]{
+func newExplorer[E Engine[E, U], U, T any](opt Options) *explorer[E, U, T] {
+	return &explorer[E, U, T]{
 		opt: opt.withDefaults(),
-		ck:  runctl.NewChecker(opt.Context, opt.Budget.Timeout),
+		ck:  runctl.NewChecker(opt.Context, 0),
 		met: opt.Metrics,
 	}
 }
@@ -309,7 +299,7 @@ func key[E interface{ FingerprintHash128() (uint64, uint64) }](e E) ooc.Key {
 // visitedSize is the figure the VisitedSize gauge publishes for the state
 // just inserted: the spilled set's cardinality when out of core, the
 // in-RAM table size otherwise. Called once per visited insertion.
-func (x *explorer[E, U]) visitedSize() int64 {
+func (x *explorer[E, U, T]) visitedSize() int64 {
 	if x.spill != nil {
 		return x.spill.Len()
 	}
@@ -330,7 +320,7 @@ func copySteps(steps [][]int) [][]int {
 // reachable configuration, including the initial one. inv obeys
 // Invariant's rules whatever the engine.
 //
-// When opt.Context is cancelled or a Budget axis trips, Explore stops
+// When opt.Context is cancelled or its deadline passes, Explore stops
 // promptly and returns a partial Report (Partial true, StopReason set)
 // whose counts cover exactly the states visited so far — always a
 // prefix-consistent subset of the full exploration.
@@ -340,22 +330,22 @@ func copySteps(steps [][]int) [][]int {
 // search with Options.MaxDepth and expect Truncated reports — verdicts
 // then cover every schedule of at most MaxDepth steps.
 func Explore[E Engine[E, U], U any](root E, opt Options, inv func(E) error) Report {
-	opt = opt.withDefaults()
-	opt, cancel := opt.withTimeout()
-	defer cancel()
-	x := newExplorer[E, U](opt)
+	x := newExplorer[E, U, struct{}](opt)
 	x.inv = inv
-	return x.explore(root)
+	rep, _ := x.explore(root)
+	return rep
 }
 
-// explore runs one serial exploration from root and returns its report.
-// It steps a private copy of root, never root itself, and starts from
-// empty tables, so one explorer can run many roots in turn (a serial
-// sweep does) without reallocating its tables, engine or undo records.
-func (x *explorer[E, U]) explore(root E) Report {
+// explore runs one serial exploration from root and returns its report
+// and root's value. It steps a private copy of root, never root itself,
+// and starts from empty tables, so one explorer can run many roots in
+// turn (a serial sweep does) without reallocating its tables, engine or
+// undo records.
+func (x *explorer[E, U, T]) explore(root E) (Report, T) {
 	x.visited.Reset()
 	x.onStack.Reset()
 	x.report, x.interrupt = Report{}, false
+	var v T
 	if x.opt.SpillDir != "" {
 		dir, err := os.MkdirTemp(x.opt.SpillDir, "spill-")
 		if err == nil {
@@ -371,11 +361,11 @@ func (x *explorer[E, U]) explore(root E) Report {
 			// falling back to an in-RAM table the caller asked to bound.
 			x.report.Truncated = true
 			x.report.noteStop(runctl.StopIO)
-			return x.report
+			return x.report, v
 		}
 	}
 	x.eng = root.CloneInto(x.eng)
-	x.dfs(x.eng, 0)
+	v = x.dfs(x.eng, 0)
 	if x.spill != nil {
 		x.spill.Close()
 		os.RemoveAll(x.spillDir)
@@ -385,15 +375,17 @@ func (x *explorer[E, U]) explore(root E) Report {
 	if x.met != nil {
 		x.met.HashCollisions.Add(int64(x.report.HashCollisions))
 	}
-	return x.report
+	return x.report, v
 }
 
 // dfs explores e's configuration and, in place, everything reachable
-// from it: each child is e after StepUndo, and e is restored by Undo
-// before the next sibling, so dfs returns with e unchanged.
-func (x *explorer[E, U]) dfs(e E, depth int) {
+// from it, and returns the configuration's value: each child is e after
+// StepUndo, and e is restored by Undo before the next sibling, so dfs
+// returns with e unchanged. A stop before the state is visited returns
+// T's zero.
+func (x *explorer[E, U, T]) dfs(e E, depth int) (v T) {
 	if x.interrupt {
-		return
+		return v
 	}
 	if reason, stop := x.ck.Check(); stop {
 		// Context cancelled or deadline passed: unwind the whole stack
@@ -401,7 +393,7 @@ func (x *explorer[E, U]) dfs(e E, depth int) {
 		x.interrupt = true
 		x.report.Truncated = true
 		x.report.noteStop(reason)
-		return
+		return v
 	}
 	if depth > x.report.DeepestPath {
 		x.report.DeepestPath = depth
@@ -422,7 +414,10 @@ func (x *explorer[E, U]) dfs(e E, depth int) {
 			x.report.CyclePrefix = copySteps(x.path[:start])
 			x.report.CycleLoop = copySteps(x.path[start:])
 		}
-		return
+		if x.edge != nil {
+			v, _ = x.visited.Get(k)
+		}
+		return v
 	}
 	if x.spill != nil {
 		added, err := x.spill.Add(k.H1, k.H2)
@@ -432,13 +427,13 @@ func (x *explorer[E, U]) dfs(e E, depth int) {
 			x.interrupt = true
 			x.report.Truncated = true
 			x.report.noteStop(runctl.StopIO)
-			return
+			return v
 		}
 		if !added {
-			return
+			return v
 		}
-	} else if !x.visited.Put(k, struct{}{}) {
-		return
+	} else if stored, added := x.visited.Insert(k, v); !added {
+		return stored
 	}
 	x.report.States++
 	if x.met != nil {
@@ -451,51 +446,68 @@ func (x *explorer[E, U]) dfs(e E, depth int) {
 			if len(x.report.Violations) == 0 {
 				x.report.ViolationWitness = copySteps(x.path)
 			}
-			if len(x.report.Violations) < x.opt.MaxViolations {
+			if len(x.report.Violations) < maxViolations {
 				x.report.Violations = append(x.report.Violations, err.Error())
 			}
 		}
+	}
+	if x.enter != nil {
+		v = x.enter(e, depth)
+		x.visited.Put(k, v)
 	}
 	if e.AllDone() {
 		x.report.Terminal++
 		if x.met != nil {
 			x.met.Terminal.Inc()
 		}
-		return
+		return v
 	}
 	if depth >= x.opt.MaxDepth {
 		// Prune this branch but keep exploring siblings: depth bounds are a
 		// per-path horizon, not a global stop.
 		x.report.Truncated = true
 		x.report.noteStop(runctl.StopMaxDepth)
-		return
+		return v
 	}
 	if x.report.States >= x.opt.MaxStates {
 		x.report.Truncated = true
 		x.report.noteStop(runctl.StopMaxStates)
-		return
+		return v
 	}
 
 	b := x.exp.at(depth)
 	b.working = e.AppendWorking(b.working[:0])
 	if len(b.working) == 0 {
 		// All remaining processes crashed: nothing can evolve.
-		return
+		return v
 	}
 	x.onStack.Put(k, struct{}{})
 	x.pathFPs = append(x.pathFPs, k)
 	for _, subset := range b.activationSets(x.opt.SingletonsOnly) {
-		e.StepUndo(subset, &b.undo)
+		performed := e.StepUndo(subset, &b.undo)
+		if x.edge != nil {
+			// performed is engine scratch that the recursion's own steps
+			// overwrite: keep a copy in this depth's storage.
+			b.performed = append(b.performed[:0], performed...)
+		}
 		x.path = append(x.path, subset)
-		x.dfs(e, depth+1)
+		child := x.dfs(e, depth+1)
 		e.Undo(&b.undo)
 		x.path = x.path[:len(x.path)-1]
 		if x.interrupt {
 			break
 		}
+		if x.edge != nil {
+			x.edge(depth, b.performed, child)
+		}
 	}
 	x.pathFPs = x.pathFPs[:len(x.pathFPs)-1]
 	x.onStack.Delete(k)
+	if x.leave != nil {
+		v = x.leave(depth)
+		x.visited.Put(k, v)
+	}
+	return v
 }
 
 // WorstActivations computes, for each process, the exact maximum number of
@@ -503,135 +515,50 @@ func (x *explorer[E, U]) dfs(e E, depth int) {
 // terminates — the per-process round complexity. The boolean result is
 // false when the analysis was inconclusive (a cycle makes some supremum
 // infinite, or bounds truncated the exploration); the report describes why.
+// It runs on the explorer, keeping each state's vector in the visited
+// table, so its tables stay in RAM: opt.SpillDir is ignored.
 func WorstActivations[V any](root *sim.Engine[V], opt Options) ([]int, bool, Report) {
-	opt = opt.withDefaults()
-	opt, cancel := opt.withTimeout()
-	defer cancel()
-	w := &worst[V]{
-		opt:  opt,
-		zero: make([]int, root.N()),
-		ck:   runctl.NewChecker(opt.Context, opt.Budget.Timeout),
-		met:  opt.Metrics,
-	}
-	// The analysis steps and undoes a private copy, never root itself.
-	vec := w.dfs(root.Clone(), 0)
-	w.report.HashCollisions = w.memo.Collisions() + w.onSt.Collisions()
-	ok := !w.report.CycleFound && !w.report.Truncated && !w.report.Partial
-	return vec, ok, w.report
-}
-
-type worst[V any] struct {
-	opt       Options
-	memo      ooc.Table[[]int]
-	onSt      ooc.Table[struct{}]
-	report    Report
-	zero      []int                   // shared all-zeros vector; callers must not mutate results
-	exp       expansions[sim.Undo[V]] // per-depth working sets, activation sets and undo records
-	interrupt bool
-	ck        *runctl.Checker
-	met       *metrics.Run
-}
-
-func (w *worst[V]) dfs(e *sim.Engine[V], depth int) []int {
-	n := e.N()
-	if w.interrupt {
-		return w.zero
-	}
-	if reason, stop := w.ck.Check(); stop {
-		// An interrupted longest-path analysis cannot certify any supremum:
-		// mark the run partial and let every frame unwind with zeros.
-		w.interrupt = true
-		w.report.Truncated = true
-		w.report.noteStop(reason)
-		return w.zero
-	}
-	if depth > w.report.DeepestPath {
-		w.report.DeepestPath = depth
-	}
-	k := key(e)
-	if _, on := w.onSt.Get(k); on {
-		w.report.CycleFound = true
-		return w.zero
-	}
-	if v, ok := w.memo.Get(k); ok {
-		return v
-	}
-	if e.AllDone() {
-		w.report.Terminal++
-		w.memo.Put(k, w.zero)
-		if w.met != nil {
-			w.met.States.Inc()
-			w.met.Terminal.Inc()
+	opt.SpillDir = ""
+	x := newExplorer[*sim.Engine[V], sim.Undo[V], []int](opt)
+	n := root.N()
+	// best[d] folds the children of the state expanded at depth d. A
+	// state's value is nil (all zeros) until its last child is folded.
+	var best [][]int
+	at := func(depth int) []int {
+		for len(best) <= depth {
+			best = append(best, make([]int, n))
 		}
-		return w.zero
+		return best[depth]
 	}
-	if depth >= w.opt.MaxDepth {
-		w.report.Truncated = true
-		w.report.noteStop(runctl.StopMaxDepth)
-		return w.zero
-	}
-	if w.memo.Len() >= w.opt.MaxStates {
-		w.report.Truncated = true
-		w.report.noteStop(runctl.StopMaxStates)
-		return w.zero
-	}
-	b := w.exp.at(depth)
-	b.working = e.AppendWorking(b.working[:0])
-	if len(b.working) == 0 {
-		w.memo.Put(k, w.zero)
-		return w.zero
-	}
-	w.onSt.Put(k, struct{}{})
-	best := make([]int, n)
-	for _, subset := range b.activationSets(w.opt.SingletonsOnly) {
-		// performed is engine scratch that the recursion's own steps
-		// overwrite: keep a copy in this depth's storage.
-		b.performed = append(b.performed[:0], e.StepUndo(subset, &b.undo)...)
-		sub := w.dfs(e, depth+1)
-		e.Undo(&b.undo)
-		for p := 0; p < n; p++ {
-			total := sub[p]
-			for _, q := range b.performed {
+	x.edge = func(depth int, performed []int, child []int) {
+		acc := at(depth)
+		for p := range acc {
+			total := 0
+			if child != nil {
+				total = child[p]
+			}
+			for _, q := range performed {
 				if q == p {
 					total++
 					break
 				}
 			}
-			if total > best[p] {
-				best[p] = total
+			if total > acc[p] {
+				acc[p] = total
 			}
 		}
-		if w.interrupt {
-			break
-		}
 	}
-	w.onSt.Delete(k)
-	w.memo.Put(k, best)
-	w.report.States = w.memo.Len()
-	if w.met != nil {
-		w.met.States.Inc()
-		w.met.FrontierDepth.SetMax(int64(depth))
-		w.met.VisitedSize.SetMax(int64(w.memo.Len()))
+	x.leave = func(depth int) []int {
+		acc := at(depth)
+		best[depth] = make([]int, n)
+		return acc
 	}
-	return best
-}
-
-// workingSet lists the processes still eligible for activation.
-func workingSet[V any](e *sim.Engine[V]) []int {
-	var out []int
-	for i := 0; i < e.N(); i++ {
-		if e.Working(i) {
-			out = append(out, i)
-		}
+	rep, vec := x.explore(root)
+	if vec == nil {
+		vec = make([]int, n)
 	}
-	return out
-}
-
-// subsets enumerates the allowed activation sets over the working
-// processes: all non-empty subsets, or singletons only.
-func subsets(working []int, singletonsOnly bool) [][]int {
-	b := setBuf{working: working}
-	return b.activationSets(singletonsOnly)
+	ok := !rep.CycleFound && !rep.Truncated && !rep.Partial
+	return vec, ok, rep
 }
 
 // expansion is one DFS depth's reusable storage, so the serial DFS
@@ -642,7 +569,7 @@ func subsets(working []int, singletonsOnly bool) [][]int {
 // depth overwrites them.
 type expansion[U any] struct {
 	setBuf
-	performed []int // WorstActivations' copy of the child's performed set
+	performed []int // the edge hook's copy of the child's performed set
 	undo      U     // takes the child's step back
 }
 

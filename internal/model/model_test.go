@@ -113,19 +113,20 @@ func TestExploreStateTruncation(t *testing.T) {
 }
 
 func TestExploreReportsInvariantViolations(t *testing.T) {
-	nodes := []sim.Node[int]{&stepNode{Rounds: 1}, &stepNode{Rounds: 1}, &stepNode{Rounds: 1}}
+	nodes := []sim.Node[int]{&stepNode{Rounds: 2}, &stepNode{Rounds: 2}, &stepNode{Rounds: 2}}
 	boom := errors.New("boom")
-	calls := 0
-	rep := model.Explore(engineWith(t, nodes), model.Options{SingletonsOnly: true, MaxViolations: 2},
+	calls, failed := 0, 0
+	rep := model.Explore(engineWith(t, nodes), model.Options{SingletonsOnly: true},
 		func(e *sim.Engine[int]) error {
 			calls++
 			if e.Done(0) {
+				failed++
 				return boom
 			}
 			return nil
 		})
-	if len(rep.Violations) != 2 {
-		t.Fatalf("violations = %d, want capped at 2", len(rep.Violations))
+	if failed <= 8 || len(rep.Violations) != 8 {
+		t.Fatalf("violations = %d of %d failing states, want capped at 8", len(rep.Violations), failed)
 	}
 	if calls != rep.States {
 		t.Errorf("invariant called %d times for %d states", calls, rep.States)
@@ -176,6 +177,9 @@ func TestWorstActivationsDetectsUnbounded(t *testing.T) {
 	}
 	if !rep.CycleFound {
 		t.Error("cycle not reported")
+	}
+	if len(rep.CycleLoop) == 0 {
+		t.Error("no replayable loop certificate")
 	}
 }
 

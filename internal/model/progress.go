@@ -5,8 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"asynccycle/internal/ooc"
-	"asynccycle/internal/runctl"
 	"asynccycle/internal/sim"
 )
 
@@ -22,8 +20,7 @@ import (
 // steps. It returns a counterexample description ("" when the property
 // holds) and the exploration report.
 func ObstructionFree[V any](root *sim.Engine[V], opt Options, soloBound int) (string, Report) {
-	opt = opt.withDefaults()
-	x := newExplorer[*sim.Engine[V], sim.Undo[V]](opt)
+	x := newExplorer[*sim.Engine[V], sim.Undo[V], struct{}](opt)
 	counterexample := ""
 	x.inv = func(e *sim.Engine[V]) error {
 		if counterexample != "" {
@@ -50,24 +47,16 @@ func ObstructionFree[V any](root *sim.Engine[V], opt Options, soloBound int) (st
 		}
 		return nil
 	}
-	return counterexample, x.explore(root)
+	rep, _ := x.explore(root)
+	return counterexample, rep
 }
 
 // stateGraph is the explicit reachable configuration graph used by the
-// fair-termination analysis. State identity uses the same compact-
-// fingerprint table as the explorer.
+// fair-termination and stabilization analyses. Its states are numbered in
+// the explorer's first-visit order.
 type stateGraph struct {
-	ids       ooc.Table[int]
-	edges     [][]edge // adjacency: edges[s] lists transitions out of s
-	working   [][]int  // working processes per state
-	terminal  []bool
-	truncated bool
-
-	// ck polls Options.Context and Budget.Timeout once per state about to
-	// be expanded; stop is the reason it tripped, after which no state is
-	// expanded.
-	ck   *runctl.Checker
-	stop runctl.StopReason
+	edges   [][]edge // adjacency: edges[s] lists transitions out of s
+	working [][]int  // working processes per state
 
 	// Legality analysis (stabilization checking only; empty otherwise):
 	// legal[s] records whether state s is legitimate, illegalWhy[s] the
@@ -103,79 +92,43 @@ func FairlyTerminates[V any](root *sim.Engine[V], opt Options) (string, Report) 
 	return "", rep
 }
 
-// newStateGraph builds the reachable configuration graph from root (see
-// buildStateGraph) and the report of that exploration. When the context or
-// the timeout trips, the graph holds the states interned so far and the
-// report is Truncated and Partial with the StopReason.
+// newStateGraph builds the reachable configuration graph from root on the
+// explorer, whose visited table keeps each state's id, and returns it with
+// the report of that exploration. A non-nil legal predicate turns on the
+// legality analysis (stabilization checking): every state records whether
+// it is legitimate and, when not, the first violation message. A stopped
+// or bounded exploration leaves the states visited so far and a Truncated,
+// Partial report. The graph stays in RAM: opt.SpillDir is ignored.
 func newStateGraph[V any](root *sim.Engine[V], opt Options, legal func(*sim.Engine[V]) error) (*stateGraph, Report) {
-	opt = opt.withDefaults()
-	g := &stateGraph{ck: runctl.NewChecker(opt.Context, opt.Budget.Timeout)}
-	rep := Report{}
-	buildStateGraph(root, opt, g, &rep, 0, legal)
-	rep.States = len(g.edges)
-	rep.HashCollisions = g.ids.Collisions()
-	rep.Truncated = g.truncated
-	if g.stop != runctl.StopNone {
-		rep.noteStop(g.stop)
-	}
-	return g, rep
-}
-
-// buildStateGraph interns e's configuration and recursively explores its
-// successors, returning the state id. A non-nil legal predicate turns on
-// the legality analysis (stabilization checking): every interned state
-// records whether it is legitimate and, when not, the first violation
-// message.
-func buildStateGraph[V any](e *sim.Engine[V], opt Options, g *stateGraph, rep *Report, depth int, legal func(*sim.Engine[V]) error) int {
-	k := key(e)
-	if id, ok := g.ids.Get(k); ok {
-		return id
-	}
-	id := len(g.edges)
-	g.ids.Put(k, id)
-	working := workingSet(e)
-	g.edges = append(g.edges, nil)
-	g.working = append(g.working, working)
-	g.terminal = append(g.terminal, e.AllDone())
-	if legal != nil {
-		err := legal(e)
-		g.legal = append(g.legal, err == nil)
-		why := ""
-		if err != nil {
-			why = err.Error()
+	opt.SpillDir = ""
+	g := &stateGraph{}
+	x := newExplorer[*sim.Engine[V], sim.Undo[V], int](opt)
+	var path []int // path[d]: the id of the state expanded at depth d
+	x.enter = func(e *sim.Engine[V], depth int) int {
+		id := len(g.edges)
+		g.edges = append(g.edges, nil)
+		g.working = append(g.working, e.AppendWorking(nil))
+		if legal != nil {
+			err := legal(e)
+			g.legal = append(g.legal, err == nil)
+			why := ""
+			if err != nil {
+				why = err.Error()
+			}
+			g.illegalWhy = append(g.illegalWhy, why)
 		}
-		g.illegalWhy = append(g.illegalWhy, why)
-	}
-	if depth > rep.DeepestPath {
-		rep.DeepestPath = depth
-	}
-	if e.AllDone() {
-		rep.Terminal++
+		path = append(path[:depth], id)
 		return id
 	}
-	if g.stop == runctl.StopNone {
-		g.stop, _ = g.ck.Check()
+	x.edge = func(depth int, performed []int, to int) {
+		from := path[depth]
+		g.edges[from] = append(g.edges[from], edge{to: to, activated: append([]int(nil), performed...)})
 	}
-	if g.stop != runctl.StopNone {
-		g.truncated = true
-		return id
-	}
-	if depth >= opt.MaxDepth || len(g.edges) >= opt.MaxStates {
-		g.truncated = true
-		return id
-	}
-	if len(working) == 0 {
-		return id
-	}
-	for _, subset := range subsets(working, opt.SingletonsOnly) {
-		child := e.Clone()
-		// Step's result is child-owned scratch; the edge outlives the
-		// child, so it keeps a copy.
-		performed := append([]int(nil), child.Step(subset)...)
-		to := buildStateGraph(child, opt, g, rep, depth+1, legal)
-		g.edges[id] = append(g.edges[id], edge{to: to, activated: performed})
-	}
-	return id
+	rep, _ := x.explore(root)
+	// A schedule loop is no verdict here: the analyses decide which
+	// components are livelocks.
+	rep.CycleFound, rep.CyclePrefix, rep.CycleLoop = false, nil, nil
+	return g, rep
 }
 
 // fairLivelock reports whether the given SCC constitutes a fair

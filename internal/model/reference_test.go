@@ -95,3 +95,15 @@ func RefWorst[V any](root *sim.Engine[V]) (worst []int, states int, ok bool) {
 	worst = dfs(root.Clone())
 	return worst, len(memo), ok
 }
+
+// workingSet lists the processes still eligible for activation, asking
+// the engine one process at a time.
+func workingSet[V any](e *sim.Engine[V]) []int {
+	var out []int
+	for i := 0; i < e.N(); i++ {
+		if e.Working(i) {
+			out = append(out, i)
+		}
+	}
+	return out
+}

@@ -34,7 +34,7 @@ func c5Pair(t *testing.T) *sim.Engine[core.PairVal] {
 // recordKeys makes x's invariant record the key of every state it is
 // called on — the DFS calls it once per newly visited state — and then run
 // inv (which may be nil). It returns the set the keys go into.
-func recordKeys[V any](x *explorer[*sim.Engine[V], sim.Undo[V]], inv Invariant[V]) map[ooc.Key]struct{} {
+func recordKeys[V any](x *explorer[*sim.Engine[V], sim.Undo[V], struct{}], inv Invariant[V]) map[ooc.Key]struct{} {
 	keys := make(map[ooc.Key]struct{})
 	x.inv = func(e *sim.Engine[V]) error {
 		keys[key(e)] = struct{}{}
@@ -49,7 +49,7 @@ func recordKeys[V any](x *explorer[*sim.Engine[V], sim.Undo[V]], inv Invariant[V
 // exploreKeys runs the serial DFS, returning the report and the exact set
 // of visited state keys.
 func exploreKeys(root *sim.Engine[core.PairVal], opt Options) (Report, map[ooc.Key]struct{}) {
-	x := newExplorer[*sim.Engine[core.PairVal], sim.Undo[core.PairVal]](opt)
+	x := newExplorer[*sim.Engine[core.PairVal], sim.Undo[core.PairVal], struct{}](opt)
 	keys := recordKeys(x, nil)
 	x.dfs(root, 0)
 	return x.report, keys
@@ -73,7 +73,7 @@ func TestCancelledExploreIsPrefixConsistent(t *testing.T) {
 	}
 	popt := opt
 	popt.Context = ctx
-	x := newExplorer[*sim.Engine[core.PairVal], sim.Undo[core.PairVal]](popt)
+	x := newExplorer[*sim.Engine[core.PairVal], sim.Undo[core.PairVal], struct{}](popt)
 	keys := recordKeys(x, func(e *sim.Engine[core.PairVal]) error {
 		if x.report.States == cut {
 			cancel()
@@ -109,7 +109,7 @@ func TestCancelledExploreIsPrefixConsistent(t *testing.T) {
 }
 
 func TestExploreBudgetMaxStates(t *testing.T) {
-	opt := Options{SingletonsOnly: true, Budget: runctl.Budget{MaxStates: 500}}
+	opt := Options{SingletonsOnly: true, MaxStates: 500}
 	rep := Explore(c5Pair(t), opt, nil)
 	if !rep.Partial || rep.StopReason != runctl.StopMaxStates {
 		t.Fatalf("want partial max-states report, got %s", rep)
@@ -121,17 +121,19 @@ func TestExploreBudgetMaxStates(t *testing.T) {
 
 func TestExploreBudgetTimeout(t *testing.T) {
 	// Full-subset schedules: the same 1690 states but ~10x the edges, so the
-	// run takes tens of milliseconds and a 1ms budget reliably trips.
-	opt := Options{Budget: runctl.Budget{Timeout: time.Millisecond}}
-	rep := Explore(c5Pair(t), opt, nil)
+	// run takes tens of milliseconds and a 1ms deadline reliably trips.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	rep := Explore(c5Pair(t), Options{Context: ctx}, nil)
 	if !rep.Partial || rep.StopReason != runctl.StopTimeout {
 		t.Fatalf("want partial timeout report, got %s", rep)
 	}
 }
 
 func TestWorstActivationsTimeout(t *testing.T) {
-	opt := Options{Budget: runctl.Budget{Timeout: time.Millisecond}}
-	_, ok, rep := WorstActivations(c5Pair(t), opt)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	_, ok, rep := WorstActivations(c5Pair(t), Options{Context: ctx})
 	if ok {
 		t.Fatal("interrupted longest-path analysis claimed a certified result")
 	}
@@ -158,6 +160,28 @@ func TestStateGraphAnalyzersCancelled(t *testing.T) {
 		}
 		if rep.States >= full.States {
 			t.Errorf("%s under a cancelled context interned %d states, the whole graph has %d", name, rep.States, full.States)
+		}
+	}
+}
+
+// A state or depth bound cuts the state-graph analyzers' exploration as
+// it cuts Explore's: the report is truncated and PARTIAL with the bound's
+// stop reason.
+func TestStateGraphAnalyzersBounded(t *testing.T) {
+	legal := func(*sim.Engine[core.PairVal]) error { return nil }
+	for _, c := range []struct {
+		opt  Options
+		want runctl.StopReason
+	}{
+		{Options{SingletonsOnly: true, MaxStates: 100}, runctl.StopMaxStates},
+		{Options{SingletonsOnly: true, MaxDepth: 3}, runctl.StopMaxDepth},
+	} {
+		_, fair := FairlyTerminates(c5Pair(t), c.opt)
+		stab := CheckStabilization(c5Pair(t), c.opt, legal).Explore
+		for name, rep := range map[string]Report{"FairlyTerminates": fair, "CheckStabilization": stab} {
+			if !rep.Partial || !rep.Truncated || rep.StopReason != c.want {
+				t.Errorf("%s bounded by %s: %s, want truncated [PARTIAL: %s]", name, c.want, rep, c.want)
+			}
 		}
 	}
 }

@@ -64,11 +64,10 @@ func (r StabReport) String() string {
 // CheckStabilization explores the reachable configuration graph from root
 // and checks closure + convergence against the legitimacy predicate
 // (nil error = legitimate). The whole state graph stays in RAM, and of
-// opt only the depth, state and violation bounds, the Context and the
-// Budget's Timeout apply: callers refuse SpillDir, and a sweep's
-// Symmetry, rather than pass them.
+// opt only SingletonsOnly, the depth and state bounds and the Context
+// apply: callers refuse SpillDir, and a sweep's Symmetry, rather than
+// pass them.
 func CheckStabilization[V any](root *sim.Engine[V], opt Options, legal func(e *sim.Engine[V]) error) StabReport {
-	opt = opt.withDefaults()
 	g, rep := newStateGraph(root, opt, legal)
 
 	out := StabReport{}
@@ -89,7 +88,7 @@ func CheckStabilization[V any](root *sim.Engine[V], opt Options, legal func(e *s
 			if g.legal[ed.to] {
 				continue
 			}
-			if len(out.ClosureViolations) < opt.MaxViolations {
+			if len(out.ClosureViolations) < maxViolations {
 				out.ClosureViolations = append(out.ClosureViolations, fmt.Sprintf(
 					"closure: legitimate state %d steps to illegitimate state %d via %s (%s)",
 					s, ed.to, intsString(ed.activated), g.illegalWhy[ed.to]))
@@ -101,9 +100,8 @@ func CheckStabilization[V any](root *sim.Engine[V], opt Options, legal func(e *s
 	// subgraph (legitimate states become isolated, so they only form
 	// trivial SCCs that fairLivelock skips).
 	sub := &stateGraph{
-		edges:    make([][]edge, len(g.edges)),
-		working:  g.working,
-		terminal: g.terminal,
+		edges:   make([][]edge, len(g.edges)),
+		working: g.working,
 	}
 	for s, edges := range g.edges {
 		if g.legal[s] {

@@ -170,7 +170,9 @@ func TestSweepParallelCheckpointResumes(t *testing.T) {
 }
 
 // A cancelled parallel sweep is PARTIAL, and its OnOrbitDone calls are a
-// prefix of the serial sequence.
+// prefix of the serial sequence. The third commit cancels the sweep, and
+// every representative after the third waits in the engine factory until
+// it does, so the workers cannot finish the sweep first in any order.
 func TestSweepParallelCancelCommitsPrefix(t *testing.T) {
 	a := sweepAlgs[2]
 	const n = 5
@@ -181,6 +183,16 @@ func TestSweepParallelCancelCommitsPrefix(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	firstThree := map[string]bool{}
+	for _, c := range serialCalls[:3] {
+		firstThree[fmt.Sprint(c.xs)] = true
+	}
+	mk := func(xs []int) (*sim.Engine[core.FastVal], error) {
+		if !firstThree[fmt.Sprint(xs)] {
+			<-ctx.Done()
+		}
+		return sim.NewEngine(graph.MustCycle(n), core.NewFastNodes(xs))
+	}
 	var calls []orbitCall
 	opt.Workers = 3
 	opt.Context = ctx
@@ -191,7 +203,7 @@ func TestSweepParallelCancelCommitsPrefix(t *testing.T) {
 		}
 		return nil
 	}
-	rep, err := a.sweep(n, opt)
+	rep, err := model.SweepExplore(n, mk, opt, properInv[core.FastVal](n))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -203,8 +203,6 @@ func sweep[V any](n int, mk func(xs []int) (*sim.Engine[V], error), opt Options,
 		}
 	}
 	opt = opt.withDefaults()
-	opt, cancel := opt.withTimeout()
-	defer cancel()
 	shards := opt.ShardCount
 	if shards < 1 {
 		shards = 1
@@ -236,7 +234,7 @@ func sweep[V any](n int, mk func(xs []int) (*sim.Engine[V], error), opt Options,
 	if opt.Metrics != nil {
 		ws = opt.Metrics.SetWorkers(workers)
 	}
-	explorers := make([]*explorer[*sim.Engine[V], sim.Undo[V]], workers)
+	explorers := make([]*explorer[*sim.Engine[V], sim.Undo[V], struct{}], workers)
 	work := func(w, i int) {
 		o := &orbits[i]
 		e, err := mk(o.xs)
@@ -249,10 +247,10 @@ func sweep[V any](n int, mk func(xs []int) (*sim.Engine[V], error), opt Options,
 			return
 		}
 		if explorers[w] == nil {
-			explorers[w] = newExplorer[*sim.Engine[V], sim.Undo[V]](opt)
+			explorers[w] = newExplorer[*sim.Engine[V], sim.Undo[V], struct{}](opt)
 			explorers[w].inv = inv
 		}
-		o.run = explorers[w].explore(e)
+		o.run, _ = explorers[w].explore(e)
 	}
 	var loopErr error
 	commit := func(i int) bool {

@@ -64,6 +64,21 @@ func (t *Table[T]) Put(k Key, v T) bool {
 	return false
 }
 
+// Insert stores v under k unless k is stored already, and returns the
+// value stored under k and whether k was new; an existing key's value is
+// kept.
+func (t *Table[T]) Insert(k Key, v T) (T, bool) {
+	slot, found, same := t.find(k)
+	switch {
+	case !found:
+		t.insertAt(slot, k, v, same)
+		return v, true
+	case slot == zeroSlot:
+		return t.zeroVal, false
+	}
+	return t.vals[slot], false
+}
+
 // Delete removes k if it is stored.
 func (t *Table[T]) Delete(k Key) {
 	slot, found, _ := t.find(k)

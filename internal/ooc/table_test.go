@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// TestTableMatchesMapOracle drives random put/get/delete sequences
+// TestTableMatchesMapOracle drives random put/insert/get/delete sequences
 // against a map oracle, checking the length and the collision count
 // after every operation. Real explorations cannot reach the corner cases
 // (a lane-A collision needs ~2^32 states), so the keys are adversarial:
@@ -36,9 +36,9 @@ func TestTableMatchesMapOracle(t *testing.T) {
 		collisions, grew := 0, false
 		for op := 0; op < 6000; op++ {
 			k := keys[rng.Intn(len(keys))]
-			switch rng.Intn(5) {
-			case 0, 1, 2: // insert-heavy, like a visited table
-				_, had := oracle[k]
+			switch kind := rng.Intn(6); kind {
+			case 0, 1, 2, 5: // insert-heavy, like a visited table
+				stored, had := oracle[k]
 				if !had {
 					same := 0
 					for o := range oracle {
@@ -52,7 +52,16 @@ func TestTableMatchesMapOracle(t *testing.T) {
 				}
 				v := rng.Intn(1000)
 				slots := len(tb.keys)
-				if added := tb.Put(k, v); added == had {
+				if kind == 5 {
+					// Insert keeps a stored value and returns it.
+					got, added := tb.Insert(k, v)
+					if added == had || (!had && got != v) || (had && got != stored) {
+						t.Fatalf("seed=%d op=%d Insert(%v, %d) = (%d,%t), oracle (%d,%t)", seed, op, k, v, got, added, stored, had)
+					}
+					if had {
+						v = stored
+					}
+				} else if added := tb.Put(k, v); added == had {
 					t.Fatalf("seed=%d op=%d Put(%v) reported added=%t, oracle had it: %t", seed, op, k, added, had)
 				}
 				grew = grew || (slots > 0 && len(tb.keys) > slots)

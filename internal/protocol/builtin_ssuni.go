@@ -172,7 +172,7 @@ func registerSSUni() {
 			case opt.SpillDir != "":
 				return model.SweepReport{}, errors.New("ssuni sweep: spilling (SpillDir) is not supported")
 			}
-			ck := runctl.NewChecker(opt.Context, opt.Budget.Timeout)
+			ck := runctl.NewChecker(opt.Context, 0)
 			rep := model.SweepReport{N: n, AllOk: true}
 			colors := make([]int, n)
 			for {

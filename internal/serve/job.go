@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -455,7 +456,7 @@ func (s *Server) executeRun(ctx context.Context, j *job) {
 	var reason runctl.StopReason
 	var schedName string
 	if spec.Engine == "big" {
-		res, reason, schedName, err = runBig(ctx, d, xs, spec, crashes, b, j.met)
+		res, reason, schedName, err = runBig(ctx, d, xs, spec, j.mode, crashes, b, j.met)
 	} else {
 		sched, _ := schedule.Parse(spec.Sched, spec.Seed)
 		schedName = sched.Name()
@@ -543,13 +544,14 @@ func (s *Server) executeRun(ctx context.Context, j *job) {
 // vectors would make million-node results megabytes of JSON.
 const maxColorsShown = 256
 
-func runBig(ctx context.Context, d *protocol.Descriptor, xs []int, spec JobSpec,
+func runBig(ctx context.Context, d *protocol.Descriptor, xs []int, spec JobSpec, mode sim.Mode,
 	crashes map[int]int, b runctl.Budget, met *metrics.Run) (sim.Result, runctl.StopReason, string, error) {
 	k, err := d.BigKernel(xs)
 	if err != nil {
 		return sim.Result{}, runctl.StopNone, "", err
 	}
 	e := bigsim.New(k)
+	e.SetMode(mode)
 	e.SetIncremental(true)
 	e.SetMetrics(met)
 	for i, c := range crashes {
@@ -581,19 +583,18 @@ func (s *Server) executeCheck(ctx context.Context, j *job) {
 	// Singleton reduction: identical to the modelcheck CLI — sound only
 	// for protocols that actually have interleaved semantics.
 	single := j.mode == sim.ModeInterleaved && len(d.Modes) > 0
+	// ctx carries the budget's wall clock; its size axes tighten the
+	// spec's bounds or their defaults (the smaller positive bound wins).
+	depth := cmp.Or(max(spec.Depth, 0), d.DefaultCheckDepth, model.DefaultMaxDepth)
+	states := cmp.Or(max(spec.MaxStates, 0), model.DefaultMaxStates)
 	b := engineBudget(j.budget)
 	opt := model.Options{
 		SingletonsOnly: single,
-		MaxStates:      spec.MaxStates,
+		MaxDepth:       runctl.Min(depth, b.MaxSteps),
+		MaxStates:      runctl.Min(states, b.MaxStates),
 		Workers:        spec.Workers,
 		Context:        ctx,
-		Budget:         b,
 		Metrics:        j.met,
-	}
-	if spec.Depth > 0 {
-		opt.MaxDepth = spec.Depth
-	} else if d.DefaultCheckDepth > 0 {
-		opt.MaxDepth = d.DefaultCheckDepth
 	}
 
 	if spec.Sweep {

@@ -222,6 +222,34 @@ func TestRunJobSharded(t *testing.T) {
 	}
 }
 
+// A big-engine run job honours the job's mode: in each mode it returns
+// the steps, maximum rounds, colors and verdicts of a sim-engine run of
+// the same spec.
+func TestRunJobBigEngineMode(t *testing.T) {
+	_, ts := newTestServer(t, serve.Options{Workers: 2})
+	run := func(engine, mode string) serve.RunResult {
+		t.Helper()
+		_, v := post(t, ts, fmt.Sprintf(`{"kind":"run","alg":"five","n":64,"sched":"sync","seed":3,"engine":%q,"mode":%q}`, engine, mode))
+		if done := waitJob(t, ts, v.ID); done.Outcome != serve.OutcomeOK {
+			t.Fatalf("%s %s run: %+v", engine, mode, done)
+		}
+		var r serve.RunResult
+		if err := json.Unmarshal(getResult(t, ts, v.ID)["result"], &r); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	for _, mode := range []string{"interleaved", "simultaneous"} {
+		want, got := run("sim", mode), run("big", mode)
+		if got.Steps != want.Steps || got.MaxRounds != want.MaxRounds || got.Terminated != want.Terminated ||
+			fmt.Sprint(got.Colors) != fmt.Sprint(want.Colors) || fmt.Sprint(got.Verdicts) != fmt.Sprint(want.Verdicts) {
+			t.Errorf("%s: big run steps=%d max-rounds=%d terminated=%d colors=%v verdicts=%v,\nsim run steps=%d max-rounds=%d terminated=%d colors=%v verdicts=%v",
+				mode, got.Steps, got.MaxRounds, got.Terminated, got.Colors, got.Verdicts,
+				want.Steps, want.MaxRounds, want.Terminated, want.Colors, want.Verdicts)
+		}
+	}
+}
+
 func TestRunJobTrace(t *testing.T) {
 	_, ts := newTestServer(t, serve.Options{Workers: 1})
 	_, v := post(t, ts, `{"kind":"run","alg":"six","n":6,"sched":"sync","trace":true}`)

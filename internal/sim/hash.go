@@ -171,11 +171,11 @@ func (e *Engine[V]) digests() []digest {
 		h.Reset()
 		if e.regs[i].Present {
 			h.HashByte(1)
-			hashValue(h, &e.regs[i].Val)
+			HashValue(h, &e.regs[i].Val)
 		} else {
 			h.HashByte(0)
 		}
-		hashAny(h, any(e.nodes[i]))
+		HashAny(h, any(e.nodes[i]))
 		h.HashBool(e.done[i])
 		h.HashBool(e.crashed[i])
 		h.HashInt(e.outputs[i])
@@ -190,10 +190,10 @@ func (e *Engine[V]) digests() []digest {
 	return e.dig
 }
 
-// hashAny encodes v through its Hashable implementation when present, and
+// HashAny encodes v through its Hashable implementation when present, and
 // through fmt otherwise. The fmt path allocates but keeps correctness for
 // node types that have not (yet) implemented Hashable.
-func hashAny(h *FPHasher, v any) {
+func HashAny(h *FPHasher, v any) {
 	if hv, ok := v.(Hashable); ok {
 		hv.HashFingerprint(h)
 		return
@@ -201,10 +201,11 @@ func hashAny(h *FPHasher, v any) {
 	fmt.Fprintf(h, "%v", v)
 }
 
-// hashValue is hashAny for register values, addressed through a pointer so
-// Hashable implementations avoid boxing; the fmt fallback dereferences, so
-// even non-struct value types are encoded by content, never by address.
-func hashValue[V any](h *FPHasher, v *V) {
+// HashValue is HashAny for values addressed through a pointer, such as
+// registers, so Hashable implementations avoid boxing; the fmt fallback
+// dereferences, so even non-struct value types are encoded by content,
+// never by address.
+func HashValue[V any](h *FPHasher, v *V) {
 	if hv, ok := any(v).(Hashable); ok {
 		hv.HashFingerprint(h)
 		return
